@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Subcommands cover every stage individually (synth, segment, edges, match,
-extract, model, score, eval) plus the full pipeline.  Exit codes: 0 on
-success, 1 for usage errors, 2 for corpus/IO errors, 3 when an exact graph
-search exceeds its node budget.
+extract, model, score, eval) plus the full pipeline.  The four imaging
+stages (segment, edges, match, extract) call the pipeline's own stage
+functions and take the same tuning options as `pipeline`: a `--config`
+key=value file and one flag per config key, spelled like the key
+(`--canny_high_percentile 95`, `--match_se_radius 1`, `--prune_spurs 4`).
+Exit codes: 0 on success, 1 for usage errors, 2 for corpus/IO errors and
+empty or overlapping watershed markers, 3 when an exact graph search
+exceeds its node budget.
 """
 
 from __future__ import annotations
@@ -15,26 +20,22 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import graphs, synth
-from .edges import canny, from_json as edges_from_json, refine_edges, to_json as edges_to_json
-from .matching import match_mask
-from .morph import EmptyMask, StructuringElement, external_boundary, prune_spurs, skeletonize
-from .pipeline import PipelineConfig, evaluate, run_pipeline
-from .raster import FormatError, magnify, read_mask, read_raster, write_raster
-from .spectral import (
-    EmptyCorpus,
-    band_combine,
-    corpus_mode_threshold,
-    hysteresis_segment,
-    keep_central_component,
+from .edges import from_json as edges_from_json, to_json as edges_to_json
+from .morph import EmptyMask
+from .pipeline import (
+    PipelineConfig,
+    detect_edges,
+    evaluate,
+    extract_scene,
+    load_corpus,
+    place_mask,
+    run_pipeline,
+    segment_scene,
+    skeleton_marker,
 )
-from .watershed import (
-    MarkerSet,
-    extract_object,
-    gradient_magnitude,
-    impose_minima,
-    inject_edges,
-    watershed_flood,
-)
+from .raster import FormatError, read_mask, read_raster, write_raster
+from .spectral import EmptyCorpus
+from .watershed import EmptyMarker, MarkerOverlap
 
 USAGE_ERROR, IO_ERROR, BUDGET_ERROR = 1, 2, 3
 
@@ -62,28 +63,35 @@ def _cmd_synth(a) -> int:
     return 0
 
 
+def _config(a) -> PipelineConfig:
+    """The --config file, if any, with every config flag given on top."""
+    cfg = PipelineConfig.from_file(a.config) if a.config else PipelineConfig()
+    return cfg.with_overrides({f.name: getattr(a, f.name, None) for f in fields(PipelineConfig)})
+
+
 def _cmd_segment(a) -> int:
-    paths = sorted(Path(a.ms).glob("*.ppm"))
-    if not paths:
-        raise EmptyCorpus(f"no .ppm images under {a.ms}")
-    images = [read_raster(p) for p in paths]
-    t = corpus_mode_threshold(images, delta=a.delta, source=a.source)
-    out = Path(a.out)
+    cfg = _config(a)
+    entries, loaded, t = load_corpus(cfg)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    for p, ms in zip(paths, images):
-        combined = band_combine(magnify(ms, a.factor))
-        mask = keep_central_component(hysteresis_segment(combined, t))
-        write_raster(mask, out / f"{p.stem}_region.pgm")
+    segmented = 0
+    for entry in entries:
+        sid = entry["id"]
+        if isinstance(loaded[sid], str):
+            print(f"{sid}: {loaded[sid]}", file=sys.stderr)
+            continue
+        pan, ms, _, _ = loaded[sid]
+        region, mask = segment_scene(pan, ms, t, cfg)
+        write_raster(region, out / f"{sid}_region.pgm")
+        write_raster(mask, out / f"{sid}_mask.pgm")
+        segmented += 1
     (out / "threshold.txt").write_text(f"t_high={t.t_high:g}\nt_low={t.t_low:g}\n")
-    print(f"t_high={t.t_high:g} t_low={t.t_low:g} ({len(paths)} images)")
+    print(f"t_high={t.t_high:g} t_low={t.t_low:g} ({segmented} images)")
     return 0
 
 
 def _cmd_edges(a) -> int:
-    pan = read_raster(a.pan)
-    es = canny(pan, sigma=a.sigma, high_percentile=a.high_percentile, low_fraction=a.low_fraction)
-    if not a.no_refine:
-        es = refine_edges(es, merge_dist=a.merge_dist, min_len=a.min_len, smooth_window=a.smooth_window)
+    es = detect_edges(read_raster(a.pan), _config(a))
     Path(a.out).write_text(edges_to_json(es))
     print(f"{len(es.chains)} chains, {es.total_points()} points -> {a.out}")
     return 0
@@ -93,7 +101,7 @@ def _cmd_match(a) -> int:
     mask = read_mask(a.mask)
     pan = read_raster(a.pan)
     es = edges_from_json(Path(a.edges).read_text())
-    result = match_mask(mask, es, pan, a.half_window, StructuringElement(a.se_shape, a.se_radius))
+    result = place_mask(mask, es, pan, _config(a))
     doc = {
         "offset": list(result.offset),
         "score": result.score,
@@ -109,17 +117,11 @@ def _cmd_match(a) -> int:
 
 
 def _cmd_extract(a) -> int:
+    cfg = _config(a)
     pan = read_raster(a.pan)
     mask = read_mask(a.mask)
     es = edges_from_json(Path(a.edges).read_text())
-    skel = skeletonize(mask)
-    if a.prune_spurs > 0:
-        skel = prune_spurs(skel, a.prune_spurs)
-    boundary = external_boundary(mask, StructuringElement(a.se_shape, a.boundary_se_radius))
-    markers = MarkerSet(skel, boundary)
-    relief = impose_minima(inject_edges(gradient_magnitude(pan), es), markers)
-    labels = watershed_flood(relief, markers)
-    obj = extract_object(labels, markers)
+    _, labels, obj = extract_scene(pan, mask, skeleton_marker(mask, cfg), es, cfg)
     out = Path(a.out)
     out.mkdir(parents=True, exist_ok=True)
     write_raster(obj, out / "object.pgm")
@@ -171,16 +173,20 @@ def _cmd_eval(a) -> int:
 
 
 def _cmd_pipeline(a) -> int:
-    cfg = PipelineConfig.from_file(a.config) if a.config else PipelineConfig()
-    overrides = {
-        f.name: getattr(a, f.name)
-        for f in fields(PipelineConfig)
-        if getattr(a, f.name, None) is not None
-    }
-    cfg = cfg.with_overrides(overrides)
-    report = run_pipeline(cfg)
+    report = run_pipeline(_config(a))
     print(report.to_text(), end="")
     return 0
+
+
+def _add_config_flags(s) -> None:
+    """--config plus one flag per PipelineConfig tuning field, named after it;
+    each command declares its own --corpus/--out."""
+    s.add_argument("--config", help="key=value file; the flags below override it")
+    for f in fields(PipelineConfig):
+        if f.name in ("corpus", "out"):
+            continue
+        kind = {"int": int, "float": float}.get(f.type, str)  # bools parse in the config
+        s.add_argument(f"--{f.name}", type=kind, metavar="BOOL" if f.type == "bool" else None)
 
 
 def _build_parser() -> _Parser:
@@ -197,44 +203,32 @@ def _build_parser() -> _Parser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_synth)
 
-    s = sub.add_parser("segment", help="threshold + hysteresis on multispectral images")
-    s.add_argument("--ms", required=True, help="directory of .ppm images")
-    s.add_argument("--delta", type=float, default=10.0)
-    s.add_argument("--source", choices=("combined", "ch1"), default="combined")
-    s.add_argument("--factor", type=int, default=4)
+    s = sub.add_parser("segment", help="segment the multispectral clip of every scene")
+    s.add_argument("--corpus", required=True, help="corpus directory with manifest.json")
     s.add_argument("--out", required=True)
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_segment)
 
     s = sub.add_parser("edges", help="edge chains from a panchromatic image")
     s.add_argument("--pan", required=True)
-    s.add_argument("--sigma", type=float, default=1.2)
-    s.add_argument("--high-percentile", type=float, default=90.0)
-    s.add_argument("--low-fraction", type=float, default=0.4)
-    s.add_argument("--merge-dist", type=float, default=3.0)
-    s.add_argument("--min-len", type=float, default=10.0)
-    s.add_argument("--smooth-window", type=int, default=3)
-    s.add_argument("--no-refine", action="store_true")
     s.add_argument("--out", required=True)
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_edges)
 
     s = sub.add_parser("match", help="best integer offset of a mask on the pan image")
     s.add_argument("--mask", required=True)
     s.add_argument("--pan", required=True)
     s.add_argument("--edges", required=True)
-    s.add_argument("--half-window", type=int, default=10)
-    s.add_argument("--se-shape", choices=("disk", "square"), default="disk")
-    s.add_argument("--se-radius", type=int, default=2)
     s.add_argument("--out")
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_match)
 
     s = sub.add_parser("extract", help="marker-controlled watershed extraction")
     s.add_argument("--pan", required=True)
     s.add_argument("--mask", required=True)
     s.add_argument("--edges", required=True)
-    s.add_argument("--se-shape", choices=("disk", "square"), default="disk")
-    s.add_argument("--boundary-se-radius", type=int, default=2)
-    s.add_argument("--prune-spurs", type=int, default=0)
     s.add_argument("--out", required=True)
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_extract)
 
     s = sub.add_parser("model", help="build a graph model from object masks")
@@ -267,17 +261,9 @@ def _build_parser() -> _Parser:
     s.set_defaults(func=_cmd_eval)
 
     s = sub.add_parser("pipeline", help="run every stage over a corpus")
-    s.add_argument("--config", help="key=value file; flags below override it")
-    for f in fields(PipelineConfig):
-        flag = f"--{f.name}"
-        if f.type == "bool":
-            s.add_argument(flag, type=str, default=None, metavar="BOOL")
-        elif f.type == "int":
-            s.add_argument(flag, type=int, default=None)
-        elif f.type == "float":
-            s.add_argument(flag, type=float, default=None)
-        else:
-            s.add_argument(flag, type=str, default=None)
+    s.add_argument("--corpus")
+    s.add_argument("--out")
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_pipeline)
     return p
 
@@ -290,7 +276,8 @@ def main(argv=None) -> int:
     except graphs.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except (FormatError, EmptyCorpus, FileNotFoundError, NotADirectoryError, EmptyMask) as exc:
+    except (FormatError, EmptyCorpus, FileNotFoundError, NotADirectoryError,
+            EmptyMask, EmptyMarker, MarkerOverlap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
     except (ValueError, synth.SpecError) as exc:

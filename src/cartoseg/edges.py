@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import BinaryMask, ScalarImage
-from .spectral import ThresholdPair
+from .spectral import ThresholdPair, _grow8
 
 # quantized gradient sectors -> (dy, dx) step along the gradient
 _SECTOR_STEP = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
@@ -91,21 +91,6 @@ def _shifted(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
     h, w = a.shape
     p = np.pad(a, 1, constant_values=0.0)
     return p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-
-
-def _grow8_bool(seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    out = seeds & allowed
-    while True:
-        p = np.pad(out, 1, constant_values=False)
-        grown = (
-            p[:-2, :-2] | p[:-2, 1:-1] | p[:-2, 2:]
-            | p[1:-1, :-2] | p[1:-1, 2:]
-            | p[2:, :-2] | p[2:, 1:-1] | p[2:, 2:]
-        )
-        new = out | (grown & allowed)
-        if np.array_equal(new, out):
-            return out
-        out = new
 
 
 _TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -204,7 +189,7 @@ def canny(
     if hi <= 0:
         return EdgeSet([], img.width, img.height)
 
-    final = _grow8_bool(nms >= hi, nms >= lo)
+    final = _grow8(nms >= hi, nms >= lo)
     traced = _trace_chains(final)
 
     h, w = mag.shape

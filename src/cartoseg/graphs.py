@@ -168,19 +168,17 @@ def _hull_perimeter(points: list[tuple[float, float]]) -> float:
 
 def _fit_shape(bits: np.ndarray, resolution: float) -> Primitive:
     area = float(np.count_nonzero(bits))
-    ys0, xs0 = np.nonzero(bits)
-    pts0 = [(float(x), float(y)) for y, x in zip(ys0, xs0)]
+    ys, xs = np.nonzero(bits)
+    pts = [(float(x), float(y)) for y, x in zip(ys, xs)]
     # hull perimeter avoids the staircase excess of traced digital contours;
     # + pi accounts for the half-pixel between centers and the true outline
-    perimeter = _hull_perimeter(pts0) + math.pi
+    perimeter = _hull_perimeter(pts) + math.pi
     iso = 4.0 * math.pi * area / (perimeter * perimeter)
-    ys, xs = np.nonzero(bits)
     if iso > CIRCLE_ISOPERIMETRIC:
         cx = float(xs.mean()) * resolution
         cy = float(ys.mean()) * resolution
         r = math.sqrt(area / math.pi) * resolution
         return Primitive("circle", (cx, cy), radius=r)
-    pts = [(float(x), float(y)) for y, x in zip(ys, xs)]
     center, long_d, short_d, theta = _min_area_rect(pts)
     return Primitive(
         "rectangle",

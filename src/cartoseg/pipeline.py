@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import graphs
-from .edges import canny, refine_edges, to_json as edges_to_json
-from .matching import match_mask
+from .edges import EdgeSet, canny, refine_edges, to_json as edges_to_json
+from .matching import MatchResult, match_mask
 from .morph import StructuringElement, dilate, external_boundary, prune_spurs, skeletonize
 from .raster import (
     BinaryMask,
@@ -53,6 +53,10 @@ from .watershed import (
 
 STAGES = ("segment", "match", "extract")
 CATEGORIES = ("correct", "acceptable", "incorrect")
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 @dataclass
@@ -120,7 +124,9 @@ class PipelineConfig:
             ftype = by_name[key].type
             if isinstance(raw, str):
                 if ftype == "bool":
-                    raw = raw.lower() in ("1", "true", "yes", "on")
+                    if raw.lower() not in _BOOLS:
+                        raise ValueError(f"{key}: not a boolean: {raw!r}")
+                    raw = _BOOLS[raw.lower()]
                 elif ftype == "int":
                     raw = int(raw)
                 elif ftype == "float":
@@ -206,6 +212,102 @@ def _se(cfg: PipelineConfig, radius: int) -> StructuringElement:
     return StructuringElement(cfg.se_shape, radius)
 
 
+def _ms_factor(pan: ScalarImage, ms) -> int:
+    return max(1, int(round(ms.resolution / pan.resolution)))
+
+
+def clip_ms(pan: ScalarImage, ms):
+    """The multispectral window under the panchromatic footprint."""
+    factor = _ms_factor(pan, ms)
+    return clip_center(ms, pan.width // factor, pan.height // factor)
+
+
+def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
+    """Manifest entries in id order, each scene's rasters and truth, and the
+    corpus-level threshold over every readable multispectral clip.
+
+    ``loaded`` maps a scene id to (pan, ms, truth_mask, offset), or to the
+    message of the error that stopped its loading.
+    """
+    corpus = Path(cfg.corpus)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    entries = sorted(manifest["scenes"], key=lambda e: e["id"])
+    loaded: dict = {}
+    clips = []
+    for entry in entries:
+        files = entry["files"]
+        try:
+            pan = read_raster(corpus / files["pan"])
+            ms = read_raster(corpus / files["ms"])
+            truth_mask = read_mask(corpus / files["truth_mask"])
+            _, offset, _ = load_truth(corpus / files["truth"])
+            clips.append(clip_ms(pan, ms))
+            loaded[entry["id"]] = (pan, ms, truth_mask, offset)
+        except Exception as exc:  # noqa: BLE001 - per-scene isolation
+            loaded[entry["id"]] = f"load failed: {exc}"
+    threshold = corpus_mode_threshold(
+        clips,
+        delta=cfg.delta,
+        source=cfg.threshold_source,
+        weights=(cfg.band_w1, cfg.band_w2, cfg.band_w3),
+    )
+    return entries, loaded, threshold
+
+
+def segment_scene(
+    pan: ScalarImage, ms, t: ThresholdPair, cfg: PipelineConfig
+) -> tuple[BinaryMask, BinaryMask]:
+    """Hysteresis region of the magnified multispectral clip, and the
+    component kept as the candidate mask."""
+    weights = (cfg.band_w1, cfg.band_w2, cfg.band_w3)
+    combined = band_combine(magnify(clip_ms(pan, ms), _ms_factor(pan, ms)), weights)
+    region = hysteresis_segment(combined, t)
+    return region, keep_central_component(region)
+
+
+def detect_edges(pan: ScalarImage, cfg: PipelineConfig) -> EdgeSet:
+    """Canny chains of the panchromatic image after refinement."""
+    return refine_edges(
+        canny(
+            pan,
+            sigma=cfg.canny_sigma,
+            high_percentile=cfg.canny_high_percentile,
+            low_fraction=cfg.canny_low_fraction,
+        ),
+        merge_dist=cfg.merge_dist,
+        min_len=cfg.min_edge_len,
+        smooth_window=cfg.smooth_window,
+    )
+
+
+def place_mask(
+    mask: BinaryMask, es: EdgeSet, pan: ScalarImage, cfg: PipelineConfig
+) -> MatchResult:
+    """Offset of the candidate mask that best fits the edge chains."""
+    return match_mask(mask, es, pan, cfg.half_window, _se(cfg, cfg.match_se_radius))
+
+
+def skeleton_marker(placed: BinaryMask, cfg: PipelineConfig) -> BinaryMask:
+    """Object marker: the placed mask's skeleton, spurs pruned if asked."""
+    skel = skeletonize(placed)
+    return prune_spurs(skel, cfg.prune_spurs) if cfg.prune_spurs > 0 else skel
+
+
+def extract_scene(
+    pan: ScalarImage, placed: BinaryMask, skel: BinaryMask, es: EdgeSet, cfg: PipelineConfig
+):
+    """Background marker, relief and flood around the object marker.
+
+    Returns (boundary, labels, object); MarkerSet raises EmptyMarker when
+    either marker is empty.
+    """
+    boundary = external_boundary(placed, _se(cfg, cfg.boundary_se_radius))
+    markers = MarkerSet(object_marker=skel, background_marker=boundary)
+    relief = impose_minima(inject_edges(gradient_magnitude(pan), es), markers)
+    labels = watershed_flood(relief, markers)
+    return boundary, labels, extract_object(labels, markers)
+
+
 def run_scene(
     pan: ScalarImage,
     ms,
@@ -218,79 +320,54 @@ def run_scene(
 ) -> dict:
     """All imaging stages for one scene; returns the per-scene record."""
     record: dict = {"stages": {}}
-    weights = (cfg.band_w1, cfg.band_w2, cfg.band_w3)
-    factor = max(1, int(round(ms.resolution / pan.resolution)))
+    saving = out_dir is not None and cfg.save_intermediates
 
     def save(img, name):
-        if out_dir is not None and cfg.save_intermediates:
+        if saving:
             write_raster(img, out_dir / f"{sid}_{name}.pgm")
 
-    # segmentation of the multispectral clip
-    ms_clip = clip_center(ms, pan.width // factor, pan.height // factor)
-    combined = band_combine(magnify(ms_clip, factor), weights)
-    region = hysteresis_segment(combined, t)
-    mask = keep_central_component(region)
+    def score(stage, mask, **extra):
+        iou, cat = evaluate(mask, truth_mask, cfg.iou_correct, cfg.iou_acceptable)
+        record["stages"][stage] = {"iou": round(iou, 6), "category": cat, **extra}
+
+    def fail(message, stage):
+        record["error"] = message
+        record["failed_stage"] = stage
+        return record
+
+    region, mask = segment_scene(pan, ms, t, cfg)
     save(region, "region")
     save(mask, "mask")
     if mask.is_empty():
-        record["error"] = "segmentation produced an empty mask"
-        record["failed_stage"] = "segment"
-        return record
-    iou, cat = evaluate(
-        translate(mask, *truth_offset), truth_mask, cfg.iou_correct, cfg.iou_acceptable
-    )
-    record["stages"]["segment"] = {"iou": round(iou, 6), "category": cat}
+        return fail("segmentation produced an empty mask", "segment")
+    score("segment", translate(mask, *truth_offset))
 
-    # edges + placement
-    es = refine_edges(
-        canny(
-            pan,
-            sigma=cfg.canny_sigma,
-            high_percentile=cfg.canny_high_percentile,
-            low_fraction=cfg.canny_low_fraction,
-        ),
-        merge_dist=cfg.merge_dist,
-        min_len=cfg.min_edge_len,
-        smooth_window=cfg.smooth_window,
-    )
-    if out_dir is not None and cfg.save_intermediates:
+    es = detect_edges(pan, cfg)
+    if saving:
         (out_dir / f"{sid}_edges.json").write_text(edges_to_json(es))
-    result = match_mask(mask, es, pan, cfg.half_window, _se(cfg, cfg.match_se_radius))
+    result = place_mask(mask, es, pan, cfg)
     matched = translate(mask, *result.offset)
-    iou, cat = evaluate(matched, truth_mask, cfg.iou_correct, cfg.iou_acceptable)
-    record["stages"]["match"] = {
-        "iou": round(iou, 6),
-        "category": cat,
-        "offset": list(result.offset),
-        "score": result.score,
-        "tie_count": result.tie_count,
-    }
+    score(
+        "match",
+        matched,
+        offset=list(result.offset),
+        score=result.score,
+        tie_count=result.tie_count,
+    )
     save(matched, "matched")
     if matched.is_empty():
-        record["error"] = "matched mask left the frame"
-        record["failed_stage"] = "extract"
-        return record
+        return fail("matched mask left the frame", "extract")
 
-    # watershed extraction
-    skel = skeletonize(matched)
-    if cfg.prune_spurs > 0:
-        skel = prune_spurs(skel, cfg.prune_spurs)
+    skel = skeleton_marker(matched, cfg)
     if skel.is_empty():
-        record["error"] = "empty skeleton marker"
-        record["failed_stage"] = "extract"
-        return record
-    boundary = external_boundary(matched, _se(cfg, cfg.boundary_se_radius))
-    markers = MarkerSet(object_marker=skel, background_marker=boundary)
-    relief = impose_minima(inject_edges(gradient_magnitude(pan), es), markers)
-    labels = watershed_flood(relief, markers)
-    obj = extract_object(labels, markers)
-    iou, cat = evaluate(obj, truth_mask, cfg.iou_correct, cfg.iou_acceptable)
-    record["stages"]["extract"] = {"iou": round(iou, 6), "category": cat}
+        return fail("empty skeleton marker", "extract")
+    boundary, labels, obj = extract_scene(pan, matched, skel, es, cfg)
+    score("extract", obj)
     save(skel, "skeleton")
     save(boundary, "boundary")
     save(labels.to_display(), "labels")
     save(obj, "object")
-    if out_dir is not None and cfg.save_intermediates:
+    if saving:
         overlay = pan.data.copy()
         if not obj.is_empty():
             rim = dilate(obj, StructuringElement("square", 1)).bits & ~obj.bits
@@ -301,34 +378,9 @@ def run_scene(
 
 
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
-    corpus = Path(cfg.corpus)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = json.loads((corpus / "manifest.json").read_text())
-    entries = sorted(manifest["scenes"], key=lambda e: e["id"])
-
-    # corpus-level threshold over every readable multispectral image
-    loaded: dict[str, tuple] = {}
-    ms_for_threshold = []
-    for entry in entries:
-        try:
-            pan = read_raster(corpus / entry["files"]["pan"])
-            ms = read_raster(corpus / entry["files"]["ms"])
-            truth_mask = read_mask(corpus / entry["files"]["truth_mask"])
-            kind, offset, truth_arg = load_truth(corpus / entry["files"]["truth"])
-            factor = max(1, int(round(ms.resolution / pan.resolution)))
-            ms_for_threshold.append(
-                clip_center(ms, pan.width // factor, pan.height // factor)
-            )
-            loaded[entry["id"]] = (pan, ms, truth_mask, offset, truth_arg)
-        except Exception as exc:  # noqa: BLE001 - per-scene isolation
-            loaded[entry["id"]] = ("error", f"load failed: {exc}")
-    threshold = corpus_mode_threshold(
-        ms_for_threshold,
-        delta=cfg.delta,
-        source=cfg.threshold_source,
-        weights=(cfg.band_w1, cfg.band_w2, cfg.band_w3),
-    )
+    entries, loaded, threshold = load_corpus(cfg)
 
     scenes: list[dict] = []
     extracted_by_kind: dict[str, list] = {}
@@ -336,12 +388,12 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         sid = entry["id"]
         record: dict = {"id": sid, "kind": entry["kind"], "stages": {}}
         data = loaded[sid]
-        if data[0] == "error":
-            record["error"] = data[1]
+        if isinstance(data, str):
+            record["error"] = data
             record["failed_stage"] = "load"
             scenes.append(record)
             continue
-        pan, ms, truth_mask, offset, _ = data
+        pan, ms, truth_mask, offset = data
         try:
             result = run_scene(pan, ms, truth_mask, offset, threshold, cfg, out_dir, sid)
         except Exception as exc:  # noqa: BLE001 - per-scene isolation

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import EdgeSet, rasterize
+from .edges import EdgeSet, _sobel_pair, rasterize
+from .morph import _N4, label_components
 from .raster import BinaryMask, ScalarImage
 
 log = logging.getLogger(__name__)
 
 WSHED = -1
-
-_N4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 class MarkerOverlap(Exception):
@@ -88,17 +87,7 @@ class LabelImage:
 
 def gradient_magnitude(img: ScalarImage) -> ScalarImage:
     """Sobel gradient magnitude with replicated-border stencils."""
-    f = img.data.astype(np.float64)
-    p = np.pad(f, 1, mode="edge")
-    gx = (
-        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
-    )
-    gy = (
-        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
-    )
-    return ScalarImage(np.hypot(gx, gy), img.resolution)
+    return ScalarImage(np.hypot(*_sobel_pair(img.data.astype(np.float64))), img.resolution)
 
 
 def inject_edges(grad: ScalarImage, es: EdgeSet) -> ScalarImage:
@@ -152,8 +141,6 @@ def label_marker_components(markers: MarkerSet):
     Object components take the low labels (row-major discovery order),
     background components follow.  Returns (labels, object_label_set).
     """
-    from .morph import label_components
-
     obj_labels, n_obj = label_components(markers.object_marker.bits, connectivity=8)
     bg_labels, _ = label_components(markers.background_marker.bits, connectivity=8)
     labels = np.where(obj_labels > 0, obj_labels, 0).astype(np.int32)

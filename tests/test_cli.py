@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cartoseg.cli import main
-from cartoseg.raster import read_mask, write_raster
+from cartoseg.raster import BinaryMask, read_mask, translate, write_raster
 from cartoseg.synth import SceneSpec, generate_scene
 
 
@@ -36,6 +36,32 @@ class TestExitCodes:
                    "--node-budget", "2"])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "box, flags",
+        [((slice(None), slice(None)), []),  # full frame: no background rim
+         ((slice(30, 33), slice(20, 100)), ["--prune_spurs", "60"])],  # skeleton pruned away
+        ids=["empty-boundary", "empty-skeleton"],
+    )
+    def test_empty_marker_is_two(self, tmp_path, corpus_dir, box, flags, capsys):
+        entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
+        pan_path = corpus_dir / entry["files"]["pan"]
+        bits = np.zeros(read_mask(pan_path).bits.shape, dtype=bool)
+        bits[box] = True
+        mask_path = tmp_path / "mask.pgm"
+        write_raster(BinaryMask(bits), mask_path)
+        edges_path = tmp_path / "edges.json"
+        assert main(["edges", "--pan", str(pan_path), "--out", str(edges_path)]) == 0
+        rc = main(["extract", "--pan", str(pan_path), "--mask", str(mask_path),
+                   "--edges", str(edges_path), "--out", str(tmp_path / "obj"), *flags])
+        assert rc == 2
+        assert "marker" in capsys.readouterr().err
+
+    def test_bad_bool_is_one(self, tmp_path, corpus_dir):
+        rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                   "--build_models", "flase"])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth(object):
     def test_writes_manifest(self, corpus_dir):
@@ -48,7 +74,7 @@ class TestSynth(object):
 class TestStageCommands:
     def test_segment(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "seg"
-        rc = main(["segment", "--ms", str(corpus_dir), "--delta", "10", "--out", str(out)])
+        rc = main(["segment", "--corpus", str(corpus_dir), "--delta", "10", "--out", str(out)])
         assert rc == 0
         assert (out / "threshold.txt").read_text().startswith("t_high=")
         assert len(list(out.glob("*_region.pgm"))) == 4
@@ -57,8 +83,7 @@ class TestStageCommands:
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
         pan_path = corpus_dir / entry["files"]["pan"]
         edges_path = tmp_path / "edges.json"
-        rc = main(["edges", "--pan", str(pan_path), "--high-percentile", "95",
-                   "--out", str(edges_path)])
+        rc = main(["edges", "--pan", str(pan_path), "--out", str(edges_path)])
         assert rc == 0 and edges_path.exists()
 
         # match the centered truth mask against the displaced scene
@@ -70,15 +95,13 @@ class TestStageCommands:
         write_raster(truth0.mask, mask_path)
         capsys.readouterr()
         rc = main(["match", "--mask", str(mask_path), "--pan", str(pan_path),
-                   "--edges", str(edges_path), "--se-radius", "1"])
+                   "--edges", str(edges_path)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["offset"] == entry["offset"]
 
         out = tmp_path / "extract"
         matched = tmp_path / "matched.pgm"
-        from cartoseg.raster import translate
-
         write_raster(translate(truth0.mask, *doc["offset"]), matched)
         rc = main(["extract", "--pan", str(pan_path), "--mask", str(matched),
                    "--edges", str(edges_path), "--out", str(out)])
@@ -88,6 +111,39 @@ class TestStageCommands:
         inter = np.count_nonzero(obj.bits & truth.bits)
         union = np.count_nonzero(obj.bits | truth.bits)
         assert inter / union >= 0.8
+
+    def test_hand_chain_equals_pipeline(self, corpus_dir, tmp_path, capsys):
+        """segment -> edges -> match -> extract with default flags writes
+        what `pipeline` writes for the same scene."""
+        pipe = tmp_path / "pipe"
+        assert main(["pipeline", "--corpus", str(corpus_dir), "--out", str(pipe),
+                     "--build_models", "false"]) == 0
+        seg = tmp_path / "seg"
+        assert main(["segment", "--corpus", str(corpus_dir), "--out", str(seg)]) == 0
+        entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
+        sid = entry["id"]
+        pan_path = str(corpus_dir / entry["files"]["pan"])
+        mask_path = seg / f"{sid}_mask.pgm"
+        assert mask_path.read_bytes() == (pipe / f"{sid}_mask.pgm").read_bytes()
+
+        edges_path = tmp_path / "edges.json"
+        assert main(["edges", "--pan", pan_path, "--out", str(edges_path)]) == 0
+        assert edges_path.read_bytes() == (pipe / f"{sid}_edges.json").read_bytes()
+
+        capsys.readouterr()
+        assert main(["match", "--mask", str(mask_path), "--pan", pan_path,
+                     "--edges", str(edges_path)]) == 0
+        offset = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["offset"]
+        report = json.loads((pipe / "report.json").read_text())
+        scene = next(s for s in report["scenes"] if s["id"] == sid)
+        assert offset == scene["stages"]["match"]["offset"]
+
+        matched = tmp_path / "matched.pgm"
+        write_raster(translate(read_mask(mask_path), *offset), matched)
+        out = tmp_path / "extract"
+        assert main(["extract", "--pan", pan_path, "--mask", str(matched),
+                     "--edges", str(edges_path), "--out", str(out)]) == 0
+        assert (out / "object.pgm").read_bytes() == (pipe / f"{sid}_object.pgm").read_bytes()
 
     def test_model_and_score(self, corpus_dir, tmp_path, capsys):
         masks = tmp_path / "masks"

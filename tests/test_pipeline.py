@@ -68,6 +68,16 @@ class TestConfig:
         cfg2 = cfg.with_overrides({"delta": "3", "build_models": "false"})
         assert cfg2.delta == 3.0 and cfg2.build_models is False
 
+    def test_bool_spellings(self):
+        cfg = PipelineConfig()
+        for raw in ("1", "TRUE", "Yes", "on"):
+            assert cfg.with_overrides({"build_models": raw}).build_models is True
+        for raw in ("0", "False", "NO", "off"):
+            assert cfg.with_overrides({"build_models": raw}).build_models is False
+        for raw in ("flase", "", "2"):
+            with pytest.raises(ValueError):
+                cfg.with_overrides({"build_models": raw})
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text("no_such_knob=1\n")
