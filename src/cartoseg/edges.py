@@ -239,6 +239,52 @@ def _smooth_chain(chain: EdgeChain, window: int) -> EdgeChain:
     return EdgeChain(out, chain.closed)
 
 
+# Upper bound on grid cells per axis.  Cells grow past `merge_dist` when the
+# endpoints span more than this many of them, which keeps the int64 cell keys
+# small however small `merge_dist` is (a cell of 1e-9 px would overflow them).
+_GRID_CELLS = 4096
+
+
+def _candidate_pairs(
+    coords: np.ndarray, merge_dist: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint pairs (i, j), i < j, on different chains within `merge_dist`,
+    and their distances.
+
+    Endpoints are bucketed into square cells of side at least `merge_dist`,
+    so a partner lies in one of the 3x3 cells around an endpoint.
+    """
+    n = len(coords)
+    lo = coords.min(axis=0)
+    span = float((coords.max(axis=0) - lo).max())
+    # the 1e-9 margin keeps rounding in the cell index from putting two
+    # endpoints exactly `merge_dist` apart two cells apart; an infinite cell
+    # holds every endpoint, and so does any cell when all endpoints coincide
+    cell = max(merge_dist, span / _GRID_CELLS) * (1.0 + 1e-9) or 1.0
+    ix, iy = (np.floor((coords - lo) / cell).astype(np.int64) + 1).T
+    stride = _GRID_CELLS + 3  # room for the empty border cells 0 and _GRID_CELLS + 2
+    key = ix * stride + iy
+    order = np.argsort(key)
+    sorted_key = key[order]
+    firsts, seconds = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            target = key + dx * stride + dy
+            start = np.searchsorted(sorted_key, target, "left")
+            count = np.searchsorted(sorted_key, target, "right") - start
+            rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            firsts.append(np.repeat(np.arange(n), count))
+            seconds.append(order[np.repeat(start, count) + rank])
+    i = np.concatenate(firsts)
+    j = np.concatenate(seconds)
+    keep = (i < j) & (i // 2 != j // 2)
+    i, j = i[keep], j[keep]
+    diff = coords[i] - coords[j]
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    near = dist <= merge_dist
+    return i[near], j[near], dist[near]
+
+
 def _merge_chains(chains: list[EdgeChain], merge_dist: float) -> list[EdgeChain]:
     """Greedily concatenate open chains whose endpoints nearly touch.
 
@@ -247,49 +293,61 @@ def _merge_chains(chains: list[EdgeChain], merge_dist: float) -> list[EdgeChain]
     not depend on input order.  Joining two chains consumes the touching
     endpoints and leaves every other endpoint exactly where it was, so
     all candidate pairs can be ranked once up front.
+
+    Candidates come from a grid (`_candidate_pairs`): two endpoints within
+    `merge_dist` differ by at most `merge_dist` along each axis, so with
+    cells at least that wide their cell indices differ by at most one per
+    axis and the 3x3 cells around one endpoint hold every partner that a
+    scan of all pairs would find.  Each pair's distance is the same
+    `hypot` of the same coordinate difference, so ranks and ties match.
+
+    Every open chain has exactly two live endpoints, and a merge of
+    endpoints i and j only turns the far ends of their chains into the
+    ends of the new chain.  `other[e]`, the live endpoint at the far end
+    of e's chain, is therefore rewired at those two ends only, and i and
+    j lie on one chain exactly when `other[i] == j`.
     """
     open_chains = [c for c in chains if not c.closed]
     closed_chains = [c for c in chains if c.closed]
-    if len(open_chains) > 1 and merge_dist >= 0:
+    if len(open_chains) > 1:
         coords = np.concatenate(
             [[c.points[0], c.points[-1]] for c in open_chains]
         )  # endpoint 2k = head of chain k, 2k+1 = tail
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        candidates = []
-        for i, j in zip(*np.nonzero(dist <= merge_dist)):
-            if i >= j or i // 2 == j // 2:
-                continue
-            key = tuple(sorted((tuple(coords[i]), tuple(coords[j]))))
-            candidates.append((float(dist[i, j]), key, int(i), int(j)))
-        candidates.sort()
+        first, second, dist = _candidate_pairs(coords, merge_dist)
+        # rank by (dist, smaller endpoint, larger endpoint, i, j), the
+        # endpoints compared lexicographically by (x, y)
+        (xi, yi), (xj, yj) = coords[first].T, coords[second].T
+        swap = (xj < xi) | ((xj == xi) & (yj < yi))
+        rank = np.lexsort((
+            second, first,
+            np.where(swap, yi, yj), np.where(swap, xi, xj),
+            np.where(swap, yj, yi), np.where(swap, xj, xi),
+            dist,
+        ))
 
         points = {k: c.points for k, c in enumerate(open_chains)}
-        owner = {e: e // 2 for e in range(2 * len(open_chains))}  # endpoint -> chain
-        side = {e: e % 2 for e in range(2 * len(open_chains))}    # 0 head, 1 tail
-        alive = set(owner)
+        n_ends = 2 * len(open_chains)
+        owner = [e // 2 for e in range(n_ends)]  # endpoint -> chain
+        side = [e % 2 for e in range(n_ends)]    # 0 head, 1 tail
+        other = [e ^ 1 for e in range(n_ends)]   # live endpoint at the far end
+        alive = [True] * n_ends
         next_id = len(open_chains)
-        for _, _, i, j in candidates:
-            if i not in alive or j not in alive or owner[i] == owner[j]:
+        for i, j in zip(first[rank].tolist(), second[rank].tolist()):
+            if not (alive[i] and alive[j]) or other[i] == j:
                 continue
-            ci, cj = owner[i], owner[j]
-            a = points.pop(ci)
-            b = points.pop(cj)
+            a = points.pop(owner[i])
+            b = points.pop(owner[j])
             if side[i] == 0:
                 a = a[::-1]
             if side[j] == 1:
                 b = b[::-1]
-            new_id = next_id
+            points[next_id] = np.concatenate([a, b])
+            alive[i] = alive[j] = False
+            head, tail = other[i], other[j]  # survivors of chains i and j
+            owner[head] = owner[tail] = next_id
+            side[head], side[tail] = 0, 1
+            other[head], other[tail] = tail, head
             next_id += 1
-            points[new_id] = np.concatenate([a, b])
-            alive -= {i, j}
-            for e in alive:
-                if owner[e] == ci:
-                    owner[e] = new_id
-                    side[e] = 0  # survivor of chain i is the new head
-                elif owner[e] == cj:
-                    owner[e] = new_id
-                    side[e] = 1  # survivor of chain j is the new tail
         open_chains = [EdgeChain(points[k], False) for k in sorted(points)]
     return open_chains + closed_chains
 
@@ -305,7 +363,7 @@ def refine_edges(
     Merging runs before pruning so that fragments that join into a long
     edge survive the length filter.
     """
-    if merge_dist < 0 or min_len < 0:
+    if not (merge_dist >= 0 and min_len >= 0):  # also rejects NaN
         raise ValueError("merge_dist and min_len must be non-negative")
     smoothed = [_smooth_chain(c, smooth_window) for c in es.chains]
     merged = _merge_chains(smoothed, merge_dist)

@@ -119,6 +119,61 @@ def naive_magnify(src: np.ndarray, factor: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# edge refinement
+# ---------------------------------------------------------------------------
+
+
+def dense_merge_chains(chains, merge_dist: float) -> list[tuple[np.ndarray, bool]]:
+    """Greedy endpoint merge over the dense n x n distance array.
+
+    Ranks every endpoint pair within `merge_dist` by (distance, sorted
+    endpoint coordinates, i, j) with a tuple sort, and rescans every live
+    endpoint after each merge.  Returns (points, closed) per output chain:
+    open chains first, unmerged ones in input order and then merged ones in
+    creation order, followed by the closed chains.
+    """
+    open_chains = [c for c in chains if not c.closed]
+    closed = [(c.points, True) for c in chains if c.closed]
+    if len(open_chains) <= 1:
+        return [(c.points, False) for c in open_chains] + closed
+    coords = np.concatenate([[c.points[0], c.points[-1]] for c in open_chains])
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    candidates = []
+    for i, j in zip(*np.nonzero(dist <= merge_dist)):
+        if i >= j or i // 2 == j // 2:
+            continue
+        key = tuple(sorted((tuple(coords[i]), tuple(coords[j]))))
+        candidates.append((float(dist[i, j]), key, int(i), int(j)))
+    candidates.sort()
+
+    points = {k: c.points for k, c in enumerate(open_chains)}
+    owner = {e: e // 2 for e in range(2 * len(open_chains))}
+    side = {e: e % 2 for e in range(2 * len(open_chains))}
+    alive = set(owner)
+    next_id = len(open_chains)
+    for _, _, i, j in candidates:
+        if i not in alive or j not in alive or owner[i] == owner[j]:
+            continue
+        ci, cj = owner[i], owner[j]
+        a = points.pop(ci)
+        b = points.pop(cj)
+        if side[i] == 0:
+            a = a[::-1]
+        if side[j] == 1:
+            b = b[::-1]
+        points[next_id] = np.concatenate([a, b])
+        alive -= {i, j}
+        for e in alive:
+            if owner[e] == ci:
+                owner[e], side[e] = next_id, 0
+            elif owner[e] == cj:
+                owner[e], side[e] = next_id, 1
+        next_id += 1
+    return [(points[k], False) for k in sorted(points)] + closed
+
+
+# ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------
 

@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartoseg.edges import (
     EdgeChain,
     EdgeSet,
+    _merge_chains,
     canny,
     from_json,
     rasterize,
@@ -11,6 +16,7 @@ from cartoseg.edges import (
     to_json,
 )
 from cartoseg.raster import ScalarImage
+from oracles import dense_merge_chains
 
 
 def step_image(w=32, h=32, col=16, lo=0, hi=255):
@@ -153,6 +159,51 @@ class TestRefineEdges:
             return sorted(out)
 
         assert canon(a) == canon(b)
+
+    @pytest.mark.parametrize("knob", ["merge_dist", "min_len"])
+    def test_nan_rejected(self, knob):
+        es = EdgeSet([chain([(0, 0), (4, 0)]), chain([(5, 0), (9, 0)])], 16, 16)
+        with pytest.raises(ValueError):
+            refine_edges(es, **{knob: math.nan})
+
+    def test_merge_memory_linear_in_chain_count(self):
+        # 4000 endpoints: an n x n x 2 float64 difference array alone is 256 MB
+        rng = np.random.default_rng(5)
+        starts = rng.uniform(0, 256, (2000, 2))
+        ends = starts + rng.uniform(-2, 2, (2000, 2))
+        es = EdgeSet([EdgeChain(np.stack([a, b])) for a, b in zip(starts, ends)], 256, 256)
+        tracemalloc.start()
+        try:
+            out = refine_edges(es, merge_dist=3.0, min_len=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.chains) < 2000  # some chains did merge
+        assert peak < 32 * 2**20
+
+
+# endpoints on a 0.5 px lattice, so exact distance and coordinate ties abound
+_lattice_point = st.tuples(st.integers(-4, 40), st.integers(-4, 40))
+_chains = st.lists(
+    st.tuples(
+        st.lists(_lattice_point, min_size=2, max_size=4),
+        st.integers(0, 3).map(lambda k: k == 0),  # a quarter of chains closed
+    ),
+    max_size=16,
+)
+
+
+class TestMergeChains:
+    @settings(max_examples=300, deadline=None)
+    @given(_chains, st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.5, math.inf]))
+    def test_equals_dense_oracle(self, drawn, merge_dist):
+        chains = [chain(np.array(pts) / 2.0, closed) for pts, closed in drawn]
+        got = _merge_chains(chains, merge_dist)
+        want = dense_merge_chains(chains, merge_dist)
+        assert len(got) == len(want)
+        for c, (points, closed) in zip(got, want):
+            assert c.closed == closed
+            assert np.array_equal(c.points, points)
 
 
 class TestChainStepInvariant:
