@@ -15,6 +15,7 @@ across runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -93,6 +94,15 @@ class PipelineConfig:
     save_intermediates: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
+        if self.merge_dist < 0 or self.min_edge_len < 0:
+            raise ValueError("merge_dist and min_edge_len must be non-negative")
+        if self.canny_sigma <= 0:
+            raise ValueError("canny_sigma must be positive")
+        if self.half_window < 0:
+            raise ValueError("half_window must be non-negative")
         if not (0.0 < self.iou_acceptable <= 1.0 and 0.0 < self.iou_correct <= 1.0):
             raise ValueError("IoU thresholds must lie in (0, 1]")
         if self.iou_correct < self.iou_acceptable:

@@ -11,9 +11,14 @@ Flooding semantics, fixed for reproducibility:
 * marker components are 8-connected, flooding is 4-connected;
 * queue entries order by (relief value, insertion sequence) where markers
   initialize in row-major order and neighbors push in N, W, E, S order;
-* a pixel popped while entries from a different basin are pending for it
-  at the same relief value becomes a watershed-line pixel (it was reached
-  simultaneously) and does not flood further.
+* a pixel touched by a second basin before its first entry pops becomes a
+  watershed-line pixel (it was reached simultaneously) and does not flood
+  further.  This is the rule "a different basin has an entry pending for
+  it at the same relief value": a pixel is pushed only while unlabelled
+  and every entry for it carries its own value, so its first pop is its
+  earliest entry and every other touch so far is pending at that value.
+  One heap entry per pixel therefore suffices, with the first basin to
+  touch it and a flag for any other.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edges import EdgeSet, _sobel_pair, rasterize
-from .morph import _N4, label_components
+from .morph import label_components
 from .raster import BinaryMask, ScalarImage
 
 log = logging.getLogger(__name__)
@@ -149,55 +154,56 @@ def label_marker_components(markers: MarkerSet):
 
 
 def watershed_flood(relief: ScalarImage, markers: MarkerSet) -> LabelImage:
-    """Marker-seeded immersion of the relief (see module docstring)."""
+    """Marker-seeded immersion of the relief (see module docstring).
+
+    Every pixel enters the heap once: a marker pixel at the start, any
+    other pixel at its first touch.  The state lives in flat lists over the
+    frame padded by one non-zero sentinel pixel, so the N, W, E, S
+    neighbours of flat index i are i - W, i - 1, i + 1, i + W with no bounds
+    test.  A heap key is ``(rank << 32) | seq``, where ``rank - 1`` is the
+    index of the pixel's value among the relief's sorted distinct values,
+    so keys order by (relief value, insertion sequence); ``order[seq]`` is
+    the pixel, and ``seq`` stays below 2**32 because it counts pixels.
+    Raises ValueError on NaN relief, which has no rank; +-inf ranks like
+    any other value.
+    """
     data = relief.data.astype(np.float64)
     h, w = data.shape
     if (h, w) != markers.object_marker.bits.shape:
         raise ValueError("relief and markers must share dimensions")
-    labels, _ = label_marker_components(markers)
-    labels = labels.copy()
-
-    heap: list[tuple[float, int, int, int, int]] = []
-    pending: dict[tuple[int, int], list[tuple[float, int, int]]] = {}
-    seq = 0
-
-    def push(y: int, x: int, lab: int) -> None:
-        nonlocal seq
-        entry = (float(data[y, x]), seq, y, x, lab)
-        heapq.heappush(heap, entry)
-        pending.setdefault((y, x), []).append((entry[0], seq, lab))
-        seq += 1
-
-    for y, x in zip(*np.nonzero(labels)):
-        lab = int(labels[y, x])
-        for dy, dx in _N4:
-            ny, nx = int(y) + dy, int(x) + dx
-            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == 0:
-                push(ny, nx, lab)
+    if np.isnan(data).any():
+        raise ValueError("relief must not contain NaN")
+    marker_labels, _ = label_marker_components(markers)
+    W = w + 2
+    labels = np.pad(marker_labels, 1, constant_values=WSHED).ravel().tolist()
+    first = labels.copy()  # basin of the first touch (a marker's own); 0 = untouched
+    mixed = [False] * len(labels)  # touched by a second basin as well
+    _, rank = np.unique(data.ravel(), return_inverse=True)
+    base = np.pad((rank.reshape(h, w).astype(np.int64) + 1) << 32, 1).ravel().tolist()
+    # Markers hold rank 0, below every relief value, so they settle first
+    # and in row-major order; a sorted list is already a heap.
+    ys, xs = np.nonzero(marker_labels)
+    order = ((ys + 1) * W + xs + 1).tolist()
+    heap = list(range(len(order)))
+    push, pop, enter = heapq.heappush, heapq.heappop, order.append
 
     while heap:
-        v, s, y, x, lab = heapq.heappop(heap)
-        here = pending.get((y, x))
-        if here is not None:
-            here.remove((v, s, lab))
-            if not here:
-                del pending[(y, x)]
-        if labels[y, x] != 0:
+        i = order[pop(heap) & 0xFFFFFFFF]
+        if mixed[i]:
+            labels[i] = WSHED
             continue
-        simultaneous = {lab}
-        for vv, _, other in pending.get((y, x), ()):
-            if vv == v:
-                simultaneous.add(other)
-        if len(simultaneous) > 1:
-            labels[y, x] = WSHED
-            continue
-        labels[y, x] = lab
-        for dy, dx in _N4:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == 0:
-                push(ny, nx, lab)
+        lab = labels[i] = first[i]
+        for j in (i - W, i - 1, i + 1, i + W):
+            if labels[j] == 0:
+                if not first[j]:
+                    first[j] = lab
+                    push(heap, base[j] | len(order))
+                    enter(j)
+                elif first[j] != lab:
+                    mixed[j] = True
 
-    return LabelImage(labels)
+    out = np.array(labels, dtype=np.int32).reshape(h + 2, W)[1:-1, 1:-1]
+    return LabelImage(np.ascontiguousarray(out))
 
 
 def extract_object(labels: LabelImage, markers: MarkerSet) -> BinaryMask:

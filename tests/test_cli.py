@@ -62,6 +62,12 @@ class TestExitCodes:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir):
+        rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                   "--half_window", "-3"])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth(object):
     def test_writes_manifest(self, corpus_dir):

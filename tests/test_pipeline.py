@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -77,6 +78,22 @@ class TestConfig:
         for raw in ("flase", "", "2"):
             with pytest.raises(ValueError):
                 cfg.with_overrides({"build_models": raw})
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("merge_dist", "nan"), ("min_edge_len", "-1"), ("canny_sigma", "nan"),
+         ("canny_sigma", "0"), ("half_window", "-3")],
+    )
+    def test_bad_numeric_rejected(self, key, raw):
+        with pytest.raises(ValueError):
+            PipelineConfig().with_overrides({key: raw})
+
+    def test_nan_rejected_in_every_float_field(self):
+        floats = [f.name for f in fields(PipelineConfig) if f.type == "float"]
+        assert "delta" in floats and "adjacency_tol" in floats
+        for name in floats:
+            with pytest.raises(ValueError, match=name):
+                PipelineConfig().with_overrides({name: "nan"})
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.txt"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cartoseg.edges import EdgeChain, EdgeSet, rasterize
 from cartoseg.raster import BinaryMask, ScalarImage
@@ -192,6 +193,59 @@ class TestWatershedFlood:
 
             comp, n = label_components(basin, connectivity=4)
             assert n == 1  # every basin is 4-connected to its marker
+
+    def test_nan_relief_rejected(self):
+        data = np.zeros((3, 4))
+        data[1, 2] = np.nan
+        markers = MarkerSet(mask_at((3, 4), [(0, 0)]), mask_at((3, 4), [(2, 3)]))
+        with pytest.raises(ValueError):
+            watershed_flood(ScalarImage(data), markers)
+
+    def test_infinite_relief_ranks(self):
+        data = np.array([[0.0, -np.inf, np.inf, 2.0, np.inf, 0.0]])
+        markers = MarkerSet(mask_at((1, 6), [(0, 0)]), mask_at((1, 6), [(0, 5)]))
+        got = watershed_flood(ScalarImage(data), markers).labels
+        want, _ = naive_watershed(data, markers.object_marker.bits, markers.background_marker.bits)
+        assert np.array_equal(got, want)
+
+    def test_contract_inputs_untouched_int32_labels(self):
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 4, (6, 9)).astype(np.float64)
+        markers = separated_random_markers(rng, (6, 9), n_obj=2, n_bg=2)
+        relief = ScalarImage(data)
+        before = (data.copy(), markers.object_marker.bits.copy(), markers.background_marker.bits.copy())
+        out = watershed_flood(relief, markers)
+        assert np.array_equal(relief.data, before[0])
+        assert np.array_equal(markers.object_marker.bits, before[1])
+        assert np.array_equal(markers.background_marker.bits, before[2])
+        assert out.labels.dtype == np.int32 and out.labels.shape == (6, 9)
+
+
+@st.composite
+def flood_cases(draw):
+    """Frames 1x2 to 9x9, relief with 1, 2, 3 or 6 integer levels, and
+    multi-pixel object and background markers that may touch."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    assume(h * w >= 2)
+    n = h * w
+    levels = draw(st.sampled_from([1, 2, 3, 6]))
+    relief = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)), dtype=np.float64)
+    kinds = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, 2]), min_size=n, max_size=n)))
+    obj_at = draw(st.integers(0, n - 1))
+    bg_at = draw(st.integers(0, n - 2))
+    kinds[obj_at] = 1
+    kinds[bg_at + (bg_at >= obj_at)] = 2
+    return relief.reshape(h, w), (kinds == 1).reshape(h, w), (kinds == 2).reshape(h, w)
+
+
+class TestFloodOracleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(flood_cases())
+    def test_equals_naive_immersion(self, case):
+        relief, obj, bg = case
+        got = watershed_flood(ScalarImage(relief), MarkerSet(BinaryMask(obj), BinaryMask(bg))).labels
+        want, _ = naive_watershed(relief, obj, bg)
+        assert np.array_equal(got, want)
 
 
 class TestExtractObject:
