@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands cover every stage individually (synth, segment, edges, match,
-extract, model, score, eval) plus the full pipeline.  The four imaging
-stages (segment, edges, match, extract) call the pipeline's own stage
-functions and take the same tuning options as `pipeline`: a `--config`
-key=value file and one flag per config key, spelled like the key
-(`--canny_high_percentile 95`, `--match_se_radius 1`, `--prune_spurs 4`).
-Exit codes: 0 on success, 1 for usage errors, 2 for corpus/IO errors and
-empty or overlapping watershed markers, 3 when an exact graph search
+extract, model, score, eval) plus the full pipeline.  Every subcommand but
+synth calls the pipeline's own stage functions and takes the same tuning
+options as `pipeline`: a `--config` key=value file and one flag per config
+key, spelled like the key (`--canny_high_percentile 95`, `--min_support 2`,
+`--distance_mode bounds`, `--iou_correct 0.9`).
+Exit codes: 0 on success, 1 for usage errors and bad config values, 2 for
+corpus/IO errors, malformed JSON inputs, empty or overlapping watershed
+markers and models without a prototype, 3 when an exact graph search
 exceeds its node budget.
 """
 
@@ -27,10 +28,13 @@ from .pipeline import (
     detect_edges,
     evaluate,
     extract_scene,
+    fit_model,
     load_corpus,
+    model_score,
     place_mask,
     run_pipeline,
     segment_scene,
+    shape_graph,
     skeleton_marker,
 )
 from .raster import FormatError, read_mask, read_raster, write_raster
@@ -131,42 +135,35 @@ def _cmd_extract(a) -> int:
 
 
 def _cmd_model(a) -> int:
+    cfg = _config(a)
     paths = sorted(Path(a.masks).glob("*.pgm"))
     if not paths:
         raise EmptyCorpus(f"no .pgm masks under {a.masks}")
-    args = []
-    for p in paths:
-        mask = read_mask(p)
-        prims = graphs.decompose(mask, a.mode, a.resolution)
-        args.append(graphs.build_arg(prims, a.adjacency_tol))
-    protos = graphs.find_prototypes(args, a.min_support)
-    if not protos:
-        print("no prototype reached min_support", file=sys.stderr)
-        return IO_ERROR
-    model = graphs.generate_model(protos, a.node_budget)
+    model = fit_model([shape_graph(read_mask(p), a.resolution, cfg) for p in paths], cfg)
     Path(a.out).write_text(graphs.model_to_json(model))
     print(
-        f"{len(protos)} prototypes, bounds {model.max_csg.size}/{model.min_csg.size}"
+        f"{len(model.prototypes)} prototypes, bounds {model.max_csg.size}/{model.min_csg.size}"
         f" vertices -> {a.out}"
     )
     return 0
 
 
 def _cmd_score(a) -> int:
+    cfg = _config(a)
     model = graphs.model_from_json(Path(a.model).read_text())
     if a.arg:
         g = graphs.arg_from_json(Path(a.arg).read_text())
     else:
-        mask = read_mask(a.mask)
-        g = graphs.build_arg(graphs.decompose(mask, a.mode, a.resolution), a.adjacency_tol)
-    d = graphs.model_distance(g, model, use_bounds=a.use_bounds, node_budget=a.node_budget)
+        g = shape_graph(read_mask(a.mask), a.resolution, cfg)
+    d = model_score(g, model, cfg)
     print(json.dumps({"distance": d, "vertices": g.size}, sort_keys=True))
     return 0
 
 
 def _cmd_eval(a) -> int:
+    cfg = _config(a)
     iou, category = evaluate(
-        read_mask(a.result), read_mask(a.truth), a.correct, a.acceptable
+        read_mask(a.result), read_mask(a.truth), cfg.iou_correct, cfg.iou_acceptable
     )
     print(json.dumps({"iou": iou, "category": category}, sort_keys=True))
     return 0
@@ -233,12 +230,9 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("model", help="build a graph model from object masks")
     s.add_argument("--masks", required=True, help="directory of .pgm masks")
-    s.add_argument("--mode", choices=("shapes", "skeleton"), default="skeleton")
     s.add_argument("--resolution", type=float, default=2.5)
-    s.add_argument("--adjacency-tol", type=float, default=8.0)
-    s.add_argument("--min-support", type=int, default=1)
-    s.add_argument("--node-budget", type=int, default=graphs.DEFAULT_NODE_BUDGET)
     s.add_argument("--out", required=True)
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_model)
 
     s = sub.add_parser("score", help="distance of a shape to a model")
@@ -246,18 +240,14 @@ def _build_parser() -> _Parser:
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--arg", help="graph JSON file")
     g.add_argument("--mask", help="mask PGM to decompose first")
-    s.add_argument("--mode", choices=("shapes", "skeleton"), default="skeleton")
     s.add_argument("--resolution", type=float, default=2.5)
-    s.add_argument("--adjacency-tol", type=float, default=8.0)
-    s.add_argument("--use-bounds", action="store_true")
-    s.add_argument("--node-budget", type=int, default=graphs.DEFAULT_NODE_BUDGET)
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_score)
 
     s = sub.add_parser("eval", help="IoU category of a result against truth")
     s.add_argument("--result", required=True)
     s.add_argument("--truth", required=True)
-    s.add_argument("--correct", type=float, default=0.8)
-    s.add_argument("--acceptable", type=float, default=0.5)
+    _add_config_flags(s)
     s.set_defaults(func=_cmd_eval)
 
     s = sub.add_parser("pipeline", help="run every stage over a corpus")
@@ -277,7 +267,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
     except (FormatError, EmptyCorpus, FileNotFoundError, NotADirectoryError,
-            EmptyMask, EmptyMarker, MarkerOverlap) as exc:
+            EmptyMask, EmptyMarker, MarkerOverlap, graphs.EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
     except (ValueError, synth.SpecError) as exc:

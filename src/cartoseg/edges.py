@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryMask, ScalarImage
+from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage
 from .spectral import ThresholdPair, _grow8
 
 # quantized gradient sectors -> (dy, dx) step along the gradient
@@ -423,9 +423,14 @@ def to_json(es: EdgeSet) -> str:
 
 
 def from_json(text: str) -> EdgeSet:
-    doc = json.loads(text)
-    chains = [
-        EdgeChain(np.array(c["points"], dtype=np.float64), bool(c["closed"]))
-        for c in doc["chains"]
-    ]
-    return EdgeSet(chains, int(doc["width"]), int(doc["height"]))
+    """The edge set a `to_json` document describes; FormatError for any
+    text that does not describe one."""
+    try:
+        doc = json.loads(text)
+        chains = [
+            EdgeChain(np.array(c["points"], dtype=np.float64), bool(c["closed"]))
+            for c in doc["chains"]
+        ]
+        return EdgeSet(chains, int(doc["width"]), int(doc["height"]))
+    except DOC_ERRORS as exc:
+        raise FormatError(f"not an edge set: {type(exc).__name__}: {exc}") from exc

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .morph import EmptyMask, label_components, skeletonize
-from .raster import BinaryMask
+from .raster import DOC_ERRORS, BinaryMask, FormatError
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
 CONNECTION_KINDS = ("end-to-end", "end-to-side", "overlap")
+DECOMPOSE_MODES = ("shapes", "skeleton")
 
 
 class BudgetExceeded(Exception):
@@ -315,7 +316,7 @@ def decompose(mask: BinaryMask, mode: str = "shapes", resolution: float = 1.0) -
         raise EmptyMask("cannot decompose an empty mask")
     if mode == "skeleton":
         return _skeleton_primitives(mask, resolution)
-    if mode != "shapes":
+    if mode not in DECOMPOSE_MODES:
         raise ValueError(f"unknown decompose mode {mode!r}")
     labels, count = label_components(mask.bits, connectivity=8)
     return [_fit_shape(labels == lab, resolution) for lab in range(1, count + 1)]
@@ -374,13 +375,18 @@ def arg_to_json(g: Arg) -> str:
 
 
 def arg_from_json(text: str) -> Arg:
-    doc = json.loads(text) if isinstance(text, str) else text
-    verts = [(int(v["id"]), str(v["kind"])) for v in doc["vertices"]]
-    edges = [
-        (int(e["from"]), int(e["to"]), str(e["conn"]), str(e["dir"]))
-        for e in doc["edges"]
-    ]
-    return Arg(verts, edges)
+    """The graph an `arg_to_json` document (text or parsed) describes;
+    FormatError for any document that does not describe a valid one."""
+    try:
+        doc = json.loads(text) if isinstance(text, str) else text
+        verts = [(int(v["id"]), str(v["kind"])) for v in doc["vertices"]]
+        edges = [
+            (int(e["from"]), int(e["to"]), str(e["conn"]), str(e["dir"]))
+            for e in doc["edges"]
+        ]
+        return Arg(verts, edges)
+    except DOC_ERRORS as exc:
+        raise FormatError(f"not a graph: {type(exc).__name__}: {exc}") from exc
 
 
 def _boundary_samples(p: Primitive, n: int = 64) -> np.ndarray:
@@ -737,9 +743,14 @@ def model_to_json(model: ObjectModel) -> str:
 
 
 def model_from_json(text: str) -> ObjectModel:
-    doc = json.loads(text)
-    return ObjectModel(
-        max_csg=arg_from_json(doc["max_csg"]),
-        min_csg=arg_from_json(doc["min_csg"]),
-        prototypes=[arg_from_json(p) for p in doc["prototypes"]],
-    )
+    """The model a `model_to_json` document describes; FormatError for any
+    text that does not describe one."""
+    try:
+        doc = json.loads(text)
+        return ObjectModel(
+            max_csg=arg_from_json(doc["max_csg"]),
+            min_csg=arg_from_json(doc["min_csg"]),
+            prototypes=[arg_from_json(p) for p in doc["prototypes"]],
+        )
+    except DOC_ERRORS as exc:
+        raise FormatError(f"not a model: {type(exc).__name__}: {exc}") from exc

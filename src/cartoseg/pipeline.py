@@ -36,6 +36,7 @@ from .raster import (
     write_raster,
 )
 from .spectral import (
+    THRESHOLD_SOURCES,
     ThresholdPair,
     band_combine,
     corpus_mode_threshold,
@@ -89,7 +90,7 @@ class PipelineConfig:
     iou_correct: float = 0.8
     iou_acceptable: float = 0.5
     distance_mode: str = "prototypes"  # or "bounds"
-    node_budget: int = 1_000_000
+    node_budget: int = graphs.DEFAULT_NODE_BUDGET
     build_models: bool = True
     save_intermediates: bool = True
 
@@ -103,6 +104,15 @@ class PipelineConfig:
             raise ValueError("canny_sigma must be positive")
         if self.half_window < 0:
             raise ValueError("half_window must be non-negative")
+        for key in ("match_se_radius", "boundary_se_radius"):
+            try:
+                _se(self, getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        if self.decompose_mode not in graphs.DECOMPOSE_MODES:
+            raise ValueError(f"unknown decompose mode {self.decompose_mode!r}")
+        if self.threshold_source not in THRESHOLD_SOURCES:
+            raise ValueError(f"unknown threshold source {self.threshold_source!r}")
         if not (0.0 < self.iou_acceptable <= 1.0 and 0.0 < self.iou_correct <= 1.0):
             raise ValueError("IoU thresholds must lie in (0, 1]")
         if self.iou_correct < self.iou_acceptable:
@@ -318,6 +328,26 @@ def extract_scene(
     return boundary, labels, extract_object(labels, markers)
 
 
+def shape_graph(mask: BinaryMask, resolution: float, cfg: PipelineConfig) -> graphs.Arg:
+    """Relational graph of the primitives a shape decomposes into."""
+    prims = graphs.decompose(mask, cfg.decompose_mode, resolution)
+    return graphs.build_arg(prims, cfg.adjacency_tol)
+
+
+def fit_model(args: list[graphs.Arg], cfg: PipelineConfig) -> graphs.ObjectModel:
+    """Structural model folded over the prototypes of the given graphs;
+    raises EmptyInput when no prototype reaches ``min_support``."""
+    protos = graphs.find_prototypes(args, cfg.min_support)
+    if not protos:
+        raise graphs.EmptyInput("no prototype reached min_support")
+    return graphs.generate_model(protos, cfg.node_budget)
+
+
+def model_score(g: graphs.Arg, model: graphs.ObjectModel, cfg: PipelineConfig) -> float:
+    """Distance of a graph to the model's prototypes, or to its bounds."""
+    return graphs.model_distance(g, model, cfg.distance_mode == "bounds", cfg.node_budget)
+
+
 def run_scene(
     pan: ScalarImage,
     ms,
@@ -420,38 +450,23 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     models: dict = {}
     if cfg.build_models:
         for kind in sorted(extracted_by_kind):
-            items = extracted_by_kind[kind]
             try:
-                args = [
-                    (sid, graphs.build_arg(
-                        graphs.decompose(obj, cfg.decompose_mode, resolution),
-                        cfg.adjacency_tol,
-                    ))
-                    for sid, obj, resolution in items
-                ]
-                protos = graphs.find_prototypes([g for _, g in args], cfg.min_support)
-                if not protos:
-                    models[kind] = {"error": "no prototype reached min_support"}
-                    continue
-                model = graphs.generate_model(protos, cfg.node_budget)
-                distances = {
-                    sid: round(
-                        graphs.model_distance(
-                            g, model, cfg.distance_mode == "bounds", cfg.node_budget
-                        ),
-                        6,
-                    )
-                    for sid, g in args
+                args = {
+                    sid: shape_graph(obj, resolution, cfg)
+                    for sid, obj, resolution in extracted_by_kind[kind]
                 }
-                models[kind] = {
-                    "prototypes": len(model.prototypes),
-                    "max_csg_size": model.max_csg.size,
-                    "min_csg_size": model.min_csg.size,
-                    "distances": distances,
-                }
-                (out_dir / f"model_{kind}.json").write_text(graphs.model_to_json(model))
-            except graphs.BudgetExceeded as exc:
+                model = fit_model(list(args.values()), cfg)
+                distances = {sid: round(model_score(g, model, cfg), 6) for sid, g in args.items()}
+            except (graphs.BudgetExceeded, graphs.EmptyInput) as exc:
                 models[kind] = {"error": str(exc)}
+                continue
+            models[kind] = {
+                "prototypes": len(model.prototypes),
+                "max_csg_size": model.max_csg.size,
+                "min_csg_size": model.min_csg.size,
+                "distances": distances,
+            }
+            (out_dir / f"model_{kind}.json").write_text(graphs.model_to_json(model))
 
     report = EvalReport(
         scenes=scenes,

@@ -16,7 +16,11 @@ import numpy as np
 
 
 class FormatError(Exception):
-    """Malformed or unsupported raster file."""
+    """Malformed or unsupported raster, edge-set or graph file."""
+
+
+# what building an object from a malformed JSON document can raise
+DOC_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 class ClipTooLarge(Exception):

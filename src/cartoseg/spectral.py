@@ -16,6 +16,7 @@ from .morph import label_components
 from .raster import BinaryMask, MultiSpectralImage, ScalarImage, clip_center
 
 DEFAULT_WEIGHTS = (0.3, 0.3, -1.0)
+THRESHOLD_SOURCES = ("combined", "ch1")
 
 
 class EmptyCorpus(Exception):
@@ -61,7 +62,7 @@ def corpus_mode_threshold(
     """
     if not corpus:
         raise EmptyCorpus("no images to estimate a threshold from")
-    if source not in ("combined", "ch1"):
+    if source not in THRESHOLD_SOURCES:
         raise ValueError(f"unknown threshold source {source!r}")
     pooled = []
     for ms in corpus:

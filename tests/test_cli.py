@@ -1,9 +1,13 @@
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cartoseg.cli import main
+from cartoseg import graphs
+from cartoseg.cli import _build_parser, main
 from cartoseg.raster import BinaryMask, read_mask, translate, write_raster
 from cartoseg.synth import SceneSpec, generate_scene
 
@@ -33,7 +37,7 @@ class TestExitCodes:
             m = read_mask(corpus_dir / entry["files"]["truth_mask"])
             write_raster(m, masks / f"{entry['id']}.pgm")
         rc = main(["model", "--masks", str(masks), "--out", str(tmp_path / "m.json"),
-                   "--node-budget", "2"])
+                   "--node_budget", "2"])
         assert rc == 3
 
     @pytest.mark.parametrize(
@@ -62,11 +66,57 @@ class TestExitCodes:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
-    def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir):
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("half_window", "-3"), ("se_shape", "hexagon"), ("match_se_radius", "0"),
+         ("boundary_se_radius", "0"), ("decompose_mode", "foo"), ("threshold_source", "ch9")],
+    )
+    def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir, key, raw):
         rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
-                   "--half_window", "-3"])
+                   f"--{key}", raw])
         assert rc == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--edges", "not json"),
+         ("--edges", '{"width": 128}'),
+         ("--edges", '{"width": 8, "height": 8, "chains": [{"closed": false, "points": [[0, 0]]}]}'),
+         ("--arg", '{"vertices": [{"id": 0}], "edges": []}'),
+         ("--arg", '{"vertices": [{"id": 0, "kind": "circle"}],'
+                   ' "edges": [{"from": 0, "to": 0, "conn": "overlap", "dir": "E"}]}'),
+         ("--model", '{"max_csg": 1}'),
+         ("--model", "[1, 2]")],
+        ids=["edges-text", "edges-no-chains", "edges-one-point", "arg-no-kind", "arg-self-loop",
+             "model-int-bound", "model-list"],
+    )
+    def test_malformed_json_is_two(self, tmp_path, corpus_dir, flag, text, capsys):
+        entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
+        g = graphs.Arg([(0, "circle")], [])
+        good = {"--arg": graphs.arg_to_json(g),
+                "--model": graphs.model_to_json(graphs.generate_model([g]))}
+        for name, doc in {**good, flag: text}.items():
+            (tmp_path / f"{name[2:]}.json").write_text(doc)
+        bad = str(tmp_path / f"{flag[2:]}.json")
+        argv = (["match", "--mask", str(corpus_dir / entry["files"]["truth_mask"]),
+                 "--pan", str(corpus_dir / entry["files"]["pan"]), "--edges", bad]
+                if flag == "--edges" else
+                ["score", "--model", str(tmp_path / "model.json"),
+                 "--arg", str(tmp_path / "arg.json")])
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_no_prototype_is_two(self, tmp_path, corpus_dir, capsys):
+        masks = tmp_path / "masks"
+        masks.mkdir()
+        for entry in json.loads((corpus_dir / "manifest.json").read_text())["scenes"]:
+            shutil.copy(corpus_dir / entry["files"]["truth_mask"], masks)
+        rc = main(["model", "--masks", str(masks), "--out", str(tmp_path / "m.json"),
+                   "--min_support", "99"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no prototype reached min_support\n"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestSynth(object):
@@ -151,6 +201,27 @@ class TestStageCommands:
                      "--edges", str(edges_path), "--out", str(out)]) == 0
         assert (out / "object.pgm").read_bytes() == (pipe / f"{sid}_object.pgm").read_bytes()
 
+    def test_model_hand_chain_equals_pipeline(self, corpus_dir, tmp_path, capsys):
+        """`model` over the pipeline's extracted objects of one kind writes
+        that kind's model file, and `score` prints each object's distance."""
+        pipe = tmp_path / "pipe"
+        assert main(["pipeline", "--corpus", str(corpus_dir), "--out", str(pipe)]) == 0
+        report = json.loads((pipe / "report.json").read_text())
+        for kind in ("bridge", "roundabout"):
+            distances = report["models"][kind]["distances"]
+            objects = tmp_path / kind
+            objects.mkdir()
+            for sid in distances:
+                shutil.copy(pipe / f"{sid}_object.pgm", objects)
+            model = tmp_path / f"model_{kind}.json"
+            assert main(["model", "--masks", str(objects), "--out", str(model)]) == 0
+            assert model.read_bytes() == (pipe / f"model_{kind}.json").read_bytes()
+            for sid, want in distances.items():
+                capsys.readouterr()
+                assert main(["score", "--model", str(model),
+                             "--mask", str(objects / f"{sid}_object.pgm")]) == 0
+                assert round(json.loads(capsys.readouterr().out)["distance"], 6) == want
+
     def test_model_and_score(self, corpus_dir, tmp_path, capsys):
         masks = tmp_path / "masks"
         masks.mkdir()
@@ -190,6 +261,15 @@ class TestPipelineCommand:
         assert report["config"]["min_support"] == 1
         assert len(report["scenes"]) == 4
 
+    def test_no_prototype_is_recorded(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--corpus", str(corpus_dir), "--out", str(out),
+                     "--min_support", "99", "--save_intermediates", "false"]) == 0
+        models = json.loads((out / "report.json").read_text())["models"]
+        error = {"error": "no prototype reached min_support"}
+        assert models == {"bridge": error, "roundabout": error}
+        assert not list(out.glob("model_*.json"))
+
     def test_config_file(self, corpus_dir, tmp_path):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text("delta=10\nsave_intermediates=false\n")
@@ -199,3 +279,13 @@ class TestPipelineCommand:
         assert rc == 0
         assert not list(out.glob("*_region.pgm"))  # intermediates disabled
         assert (out / "report.json").exists()
+
+
+def test_readme_commands_parse():
+    """Every `cartoseg ...` line in README.md is a valid command line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("cartoseg ")]
+    assert len(lines) >= 9
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cartoseg import edges
 from cartoseg.graphs import (
     Arg,
     BudgetExceeded,
@@ -25,7 +28,7 @@ from cartoseg.graphs import (
     model_to_json,
 )
 from cartoseg.morph import EmptyMask
-from cartoseg.raster import BinaryMask
+from cartoseg.raster import BinaryMask, FormatError
 from oracles import brute_isomorphic, brute_mcs_size, can_embed, random_arg
 
 EE = ("end-to-end", "E")
@@ -413,3 +416,56 @@ class TestMetricProperties:
             assert dab == pytest.approx(dba)
             assert 0.0 <= dab <= 1.0
             assert dab <= dac + dcb + 1e-12  # triangle inequality
+
+
+# JSON values: scalars (small ints often, so ids can be valid; numbers no
+# float or int can hold), lists, objects
+_leaf = (st.none() | st.booleans() | st.integers(-1, 3) | st.integers() | st.floats()
+         | st.sampled_from([math.inf, 10**400]) | st.text(max_size=3))
+_any = st.recursive(
+    _leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _doc(**keys):
+    """An object with every key well typed, or with each key present or not
+    and of any value, or any JSON value: documents land on both sides of
+    every check."""
+    mixed = st.fixed_dictionaries({}, optional={k: v | _any for k, v in keys.items()})
+    return st.fixed_dictionaries(keys) | mixed | _any
+
+
+_point = st.lists(st.integers(-2, 9) | st.floats(), min_size=2, max_size=2) | _any
+_edge_set = _doc(
+    width=st.integers(1, 16), height=st.integers(1, 16),
+    chains=st.lists(_doc(closed=st.booleans(), points=st.lists(_point, max_size=4)), max_size=3),
+)
+_arg = _doc(
+    vertices=st.lists(_doc(id=st.integers(0, 3), kind=st.sampled_from(["circle", "segment"])),
+                      max_size=4),
+    edges=st.lists(_doc(**{"from": st.integers(0, 3), "to": st.integers(0, 3),
+                           "conn": st.just("overlap"), "dir": st.just("E")}), max_size=3),
+)
+_model = _doc(max_csg=_arg, min_csg=_arg, prototypes=st.lists(_arg, max_size=2))
+
+
+class TestJsonFuzz:
+    """ROADMAP 5c: any JSON value (or any text) either builds or raises FormatError."""
+
+    @pytest.mark.parametrize(
+        "parse, docs, built",
+        [(edges.from_json, _edge_set, edges.EdgeSet),
+         (arg_from_json, _arg, Arg),
+         (model_from_json, _model, ObjectModel)],
+        ids=["edges", "arg", "model"],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_builds_or_format_error(self, parse, docs, built, data):
+        text = data.draw(docs.map(json.dumps) | st.text(max_size=12))
+        try:
+            assert isinstance(parse(text), built)
+        except FormatError:
+            pass
