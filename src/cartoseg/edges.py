@@ -192,24 +192,20 @@ def canny(
     final = _grow8(nms >= hi, nms >= lo)
     traced = _trace_chains(final)
 
-    h, w = mag.shape
-    chains = []
-    for path, closed in traced:
-        pts = np.empty((len(path), 2), dtype=np.float64)
-        for i, (y, x) in enumerate(path):
-            dy, dx = _SECTOR_STEP[int(sector[y, x])]
-            ym, xm = y - dy, x - dx
-            yp, xp = y + dy, x + dx
-            delta = 0.0
-            if 0 <= ym < h and 0 <= xm < w and 0 <= yp < h and 0 <= xp < w:
-                a, c, b = mag[ym, xm], mag[y, x], mag[yp, xp]
-                den = a + b - 2.0 * c
-                if den < 0.0:
-                    # clamp strictly inside +/-0.5 so rounding stays on the
-                    # detected pixel (symmetric ridges peak exactly halfway)
-                    delta = float(np.clip((a - b) / (2.0 * den), -0.49, 0.49))
-            pts[i] = (x + delta * dx, y + delta * dy)
-        chains.append(EdgeChain(pts, closed))
+    y, x = np.array([p for path, _ in traced for p in path], dtype=int).reshape(-1, 2).T
+    dy, dx = np.array([_SECTOR_STEP[k] for k in range(4)])[sector[y, x]].T
+    padded = np.pad(mag, 1, constant_values=np.nan)  # no peak next to the border
+    a, c, b = padded[y - dy + 1, x - dx + 1], mag[y, x], padded[y + dy + 1, x + dx + 1]
+    den = a + b - 2.0 * c
+    # sub-pixel peak of the parabola through the three magnitudes along the
+    # gradient where it opens downward, clamped strictly inside +/-0.5 so
+    # rounding stays on the detected pixel (symmetric ridges peak halfway)
+    peak = den < 0.0
+    delta = np.zeros(len(y))
+    delta[peak] = np.clip((a - b)[peak] / (2.0 * den[peak]), -0.49, 0.49)
+    pts = np.column_stack([x + delta * dx, y + delta * dy])
+    ends = np.cumsum([len(path) for path, _ in traced])[:-1]
+    chains = [EdgeChain(p, closed) for p, (_, closed) in zip(np.split(pts, ends), traced)]
     return EdgeSet(chains, img.width, img.height)
 
 
@@ -398,15 +394,30 @@ def _draw_line(bits: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
 
 
 def rasterize(es: EdgeSet) -> BinaryMask:
-    """Draw every chain as a 1-pixel-wide line after rounding coordinates."""
+    """Draw every chain as a 1-pixel-wide line after rounding coordinates.
+
+    Each segment, closing ones included, is a Bresenham line clipped to the
+    frame.  One at most a pixel long per axis draws just its end points, so
+    only longer ones are walked.  Raises ValueError on a non-finite point.
+    """
     bits = np.zeros((es.height, es.width), dtype=bool)
-    for chain in es.chains:
-        pts = np.rint(chain.points).astype(int)
-        segs = list(zip(pts[:-1], pts[1:]))
-        if chain.closed:
-            segs.append((pts[-1], pts[0]))
-        for (x0, y0), (x1, y1) in segs:
-            _draw_line(bits, int(x0), int(y0), int(x1), int(y1))
+    if not es.chains:
+        return BinaryMask(bits)
+    pts = np.concatenate([c.points for c in es.chains])
+    if not np.isfinite(pts).all():
+        raise ValueError("chain points must be finite")
+    x, y = np.rint(pts).astype(int).T
+    inside = (x >= 0) & (x < es.width) & (y >= 0) & (y < es.height)
+    bits[y[inside], x[inside]] = True
+    heads = np.cumsum([0] + [len(c.points) for c in es.chains])
+    nxt = np.arange(1, len(pts) + 1)  # the point each segment runs to, -1 for none
+    nxt[heads[1:] - 1] = [h if c.closed else -1 for h, c in zip(heads, es.chains)]
+    start = np.flatnonzero(nxt >= 0)
+    stop = nxt[start]
+    long = np.maximum(abs(x[stop] - x[start]), abs(y[stop] - y[start])) > 1
+    start, stop = start[long], stop[long]
+    for x0, y0, x1, y1 in zip(*(v.tolist() for v in (x[start], y[start], x[stop], y[stop]))):
+        _draw_line(bits, x0, y0, x1, y1)
     return BinaryMask(bits)
 
 
@@ -423,14 +434,18 @@ def to_json(es: EdgeSet) -> str:
 
 
 def from_json(text: str) -> EdgeSet:
-    """The edge set a `to_json` document describes; FormatError for any
-    text that does not describe one."""
+    """The edge set a `to_json` document describes; FormatError for any other
+    text, or for a point not finite or more than a frame size outside it."""
     try:
         doc = json.loads(text)
         chains = [
             EdgeChain(np.array(c["points"], dtype=np.float64), bool(c["closed"]))
             for c in doc["chains"]
         ]
-        return EdgeSet(chains, int(doc["width"]), int(doc["height"]))
+        es = EdgeSet(chains, int(doc["width"]), int(doc["height"]))
+        size = np.array([es.width, es.height])  # comparisons are False on NaN
+        if not all(((c.points >= -size) & (c.points <= 2 * size)).all() for c in chains):
+            raise ValueError("a point is not finite or lies more than a frame outside it")
+        return es
     except DOC_ERRORS as exc:
         raise FormatError(f"not an edge set: {type(exc).__name__}: {exc}") from exc

@@ -26,7 +26,9 @@ from .edges import EdgeSet, canny, refine_edges, to_json as edges_to_json
 from .matching import MatchResult, match_mask
 from .morph import StructuringElement, dilate, external_boundary, prune_spurs, skeletonize
 from .raster import (
+    DOC_ERRORS,
     BinaryMask,
+    FormatError,
     ScalarImage,
     clip_center,
     magnify,
@@ -247,16 +249,22 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
     corpus-level threshold over every readable multispectral clip.
 
     ``loaded`` maps a scene id to (pan, ms, truth_mask, offset), or to the
-    message of the error that stopped its loading.
+    message of the error that stopped its loading.  FormatError unless each
+    manifest scene has a string ``id`` and ``kind``.
     """
     corpus = Path(cfg.corpus)
-    manifest = json.loads((corpus / "manifest.json").read_text())
-    entries = sorted(manifest["scenes"], key=lambda e: e["id"])
+    try:
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        entries = sorted(manifest["scenes"], key=lambda e: e["id"])
+        if not all(isinstance(e["id"], str) and isinstance(e["kind"], str) for e in entries):
+            raise ValueError("a scene id or kind is not a string")
+    except DOC_ERRORS as exc:
+        raise FormatError(f"not a corpus manifest: {type(exc).__name__}: {exc}") from exc
     loaded: dict = {}
     clips = []
     for entry in entries:
-        files = entry["files"]
         try:
+            files = entry["files"]
             pan = read_raster(corpus / files["pan"])
             ms = read_raster(corpus / files["ms"])
             truth_mask = read_mask(corpus / files["truth_mask"])
@@ -418,9 +426,9 @@ def run_scene(
 
 
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
+    entries, loaded, threshold = load_corpus(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries, loaded, threshold = load_corpus(cfg)
 
     scenes: list[dict] = []
     extracted_by_kind: dict[str, list] = {}

@@ -104,18 +104,6 @@ def inject_edges(grad: ScalarImage, es: EdgeSet) -> ScalarImage:
     return ScalarImage(data, grad.resolution)
 
 
-def _erode8(f: np.ndarray) -> np.ndarray:
-    p = np.pad(f, 1, constant_values=np.inf)
-    out = f.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            h, w = f.shape
-            np.minimum(out, p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=out)
-    return out
-
-
 def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
     """Force the relief to have regional minima exactly at the markers.
 
@@ -123,6 +111,10 @@ def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
     the relief is raised by one step and reconstructed by erosion, which
     fills every unmarked pit.  Distinct marker components should not touch
     (not even diagonally) or they merge into one minimum.
+
+    Each pass sets ``cur = max(erode(cur), ceiling)``, until one changes
+    nothing; ``erode`` is the 3x3 minimum, +inf outside the frame, taken on
+    one +inf-bordered buffer as the minimum of three columns, then rows.
     """
     f = grad.data.astype(np.float64)
     marked = markers.object_marker.bits | markers.background_marker.bits
@@ -132,12 +124,20 @@ def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
     sentinel = lo - 1.0
     seed = np.where(marked, sentinel, np.inf)
     ceiling = np.minimum(f + step, seed)
-    cur = seed
+    h, w = f.shape
+    padded = np.full((h + 2, w + 2), np.inf)
+    cur = padded[1:-1, 1:-1]
+    cur[...] = seed
+    cols, nxt = np.empty((h + 2, w)), np.empty((h, w))
     while True:
-        nxt = np.maximum(_erode8(cur), ceiling)
+        np.minimum(padded[:, :-2], padded[:, 1:-1], out=cols)
+        np.minimum(cols, padded[:, 2:], out=cols)
+        np.minimum(cols[:-2], cols[1:-1], out=nxt)
+        np.minimum(nxt, cols[2:], out=nxt)
+        np.maximum(nxt, ceiling, out=nxt)
         if np.array_equal(nxt, cur):
-            return ScalarImage(cur, grad.resolution)
-        cur = nxt
+            return ScalarImage(nxt, grad.resolution)
+        cur[...] = nxt
 
 
 def label_marker_components(markers: MarkerSet):
@@ -212,8 +212,8 @@ def extract_object(labels: LabelImage, markers: MarkerSet) -> BinaryMask:
     Watershed-line pixels are excluded.  If no pixel carries an object
     label (mismatched inputs) the result is empty and a warning is logged.
     """
-    _, object_ids = label_marker_components(markers)
-    bits = np.isin(labels.labels, sorted(object_ids))
+    _, n_obj = label_components(markers.object_marker.bits, connectivity=8)
+    bits = (labels.labels >= 1) & (labels.labels <= n_obj)
     if not bits.any():
         log.warning("no object basin found in the label image")
     return BinaryMask(bits)

@@ -50,6 +50,32 @@ def naive_external_boundary(bits: np.ndarray, offsets) -> np.ndarray:
     return naive_dilate(d, square_offsets(1)) & ~d
 
 
+def bfs_label_components(bits: np.ndarray, connectivity: int = 8):
+    """Stack flood fill from each unlabelled pixel, scanned row-major."""
+    if connectivity == 8:
+        offs = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+    else:
+        offs = [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    h, w = bits.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    count = 0
+    for sy in range(h):
+        for sx in range(w):
+            if not bits[sy, sx] or labels[sy, sx]:
+                continue
+            count += 1
+            labels[sy, sx] = count
+            stack = [(sy, sx)]
+            while stack:
+                y, x = stack.pop()
+                for dy, dx in offs:
+                    ny, nx = y + dy, x + dx
+                    if 0 <= ny < h and 0 <= nx < w and bits[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = count
+                        stack.append((ny, nx))
+    return labels, count
+
+
 # ---------------------------------------------------------------------------
 # hysteresis
 # ---------------------------------------------------------------------------
@@ -116,6 +142,86 @@ def naive_magnify(src: np.ndarray, factor: int) -> np.ndarray:
                 src, (ox + 0.5) / factor - 0.5, (oy + 0.5) / factor - 0.5
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# edge detection and rasterization
+# ---------------------------------------------------------------------------
+
+
+def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
+    """`edges.canny` with the sub-pixel offset computed pixel by pixel.
+
+    Smoothing, gradient, suppression, hysteresis and tracing are the
+    package's own helpers; only the per-point loop is independent.
+    Returns (points, closed) per chain.
+    """
+    from cartoseg.edges import (
+        _SECTOR_STEP, _gaussian_blur, _shifted, _sobel_pair, _trace_chains,
+    )
+    from cartoseg.spectral import _grow8
+
+    smooth = _gaussian_blur(img.data.astype(np.float64), sigma)
+    gx, gy = _sobel_pair(smooth)
+    mag = np.hypot(gx, gy)
+    sector = (np.round(np.arctan2(gy, gx) / (math.pi / 4.0)).astype(int)) % 4
+    keep = np.zeros(mag.shape, dtype=bool)
+    for k, (dy, dx) in _SECTOR_STEP.items():
+        keep |= (sector == k) & (mag >= _shifted(mag, dy, dx)) & (mag > _shifted(mag, -dy, -dx))
+    nms = np.where(keep, mag, 0.0)
+    nz = mag[mag > 0]
+    hi = float(np.percentile(nz, high_percentile)) if nz.size else 0.0
+    if hi <= 0:
+        return []
+    h, w = mag.shape
+    chains = []
+    for path, closed in _trace_chains(_grow8(nms >= hi, nms >= low_fraction * hi)):
+        pts = np.empty((len(path), 2), dtype=np.float64)
+        for i, (y, x) in enumerate(path):
+            dy, dx = _SECTOR_STEP[int(sector[y, x])]
+            ym, xm = y - dy, x - dx
+            yp, xp = y + dy, x + dx
+            delta = 0.0
+            if 0 <= ym < h and 0 <= xm < w and 0 <= yp < h and 0 <= xp < w:
+                a, c, b = mag[ym, xm], mag[y, x], mag[yp, xp]
+                den = a + b - 2.0 * c
+                if den < 0.0:
+                    delta = float(np.clip((a - b) / (2.0 * den), -0.49, 0.49))
+            pts[i] = (x + delta * dx, y + delta * dy)
+        chains.append((pts, closed))
+    return chains
+
+
+def bresenham_rasterize(chains, width: int, height: int) -> np.ndarray:
+    """One Bresenham walk per segment of every chain, clipped to the frame."""
+    bits = np.zeros((height, width), dtype=bool)
+
+    def draw(x0, y0, x1, y1):
+        dx, dy = abs(x1 - x0), abs(y1 - y0)
+        sx = 1 if x0 < x1 else -1
+        sy = 1 if y0 < y1 else -1
+        err = dx - dy
+        while True:
+            if 0 <= y0 < height and 0 <= x0 < width:
+                bits[y0, x0] = True
+            if x0 == x1 and y0 == y1:
+                return
+            e2 = 2 * err
+            if e2 > -dy:
+                err -= dy
+                x0 += sx
+            if e2 < dx:
+                err += dx
+                y0 += sy
+
+    for chain in chains:
+        pts = np.rint(chain.points).astype(int)
+        segs = list(zip(pts[:-1], pts[1:]))
+        if chain.closed:
+            segs.append((pts[-1], pts[0]))
+        for (x0, y0), (x1, y1) in segs:
+            draw(int(x0), int(y0), int(x1), int(y1))
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +353,29 @@ def naive_marker_labels(obj: np.ndarray, bg: np.ndarray):
     n_obj = components(obj, labels, 0)
     components(bg, labels, n_obj)
     return labels, set(range(1, n_obj + 1))
+
+
+def erode8_impose_minima(data: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """`watershed.impose_minima` with each pass a padded copy and eight
+    shifted minima, one per neighbour."""
+    f = data.astype(np.float64)
+    lo, hi = float(f.min()), float(f.max())
+    step = (hi - lo) * 1e-3 if hi > lo else 1.0
+    seed = np.where(marked, lo - 1.0, np.inf)
+    ceiling = np.minimum(f + step, seed)
+    h, w = f.shape
+    cur = seed
+    while True:
+        p = np.pad(cur, 1, constant_values=np.inf)
+        eroded = cur.copy()
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy or dx:
+                    np.minimum(eroded, p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=eroded)
+        nxt = np.maximum(eroded, ceiling)
+        if np.array_equal(nxt, cur):
+            return cur
+        cur = nxt
 
 
 def naive_watershed(relief: np.ndarray, obj: np.ndarray, bg: np.ndarray):

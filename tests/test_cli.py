@@ -1,11 +1,15 @@
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cartoseg
 from cartoseg import graphs
 from cartoseg.cli import _build_parser, main
 from cartoseg.raster import BinaryMask, read_mask, translate, write_raster
@@ -106,6 +110,24 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("point", ["NaN", "1e12"])
+    def test_unbounded_edge_point_is_two_promptly(self, tmp_path, corpus_dir, point):
+        """A point that would send the line drawing on an endless walk."""
+        entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
+        edges = tmp_path / "edges.json"
+        edges.write_text('{"width": 128, "height": 128, "chains": [{"closed": false, '
+                         f'"points": [[{point}, 1.0], [2.0, 1.0]]}}]}}')
+        src = str(Path(cartoseg.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "cartoseg.cli", "match",
+             "--mask", str(corpus_dir / entry["files"]["truth_mask"]),
+             "--pan", str(corpus_dir / entry["files"]["pan"]), "--edges", str(edges)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: not an edge set")
 
     def test_no_prototype_is_two(self, tmp_path, corpus_dir, capsys):
         masks = tmp_path / "masks"
@@ -269,6 +291,37 @@ class TestPipelineCommand:
         error = {"error": "no prototype reached min_support"}
         assert models == {"bridge": error, "roundabout": error}
         assert not list(out.glob("model_*.json"))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["garbage", '{"scenes": [{"id": "x"}]}', "[]", '{"scenes": 3}',
+         '{"scenes": [{"id": 1, "kind": "bridge"}]}'],
+        ids=["not-json", "no-kind", "list", "scenes-int", "int-id"],
+    )
+    def test_malformed_manifest_is_two_before_any_write(self, corpus_dir, tmp_path, text, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        (corpus / "manifest.json").write_text(text)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--corpus", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not a corpus manifest")
+        assert not out.exists()
+
+    def test_scene_without_files_is_load_error(self, corpus_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        del manifest["scenes"][0]["files"]
+        manifest["scenes"][1]["files"] = "scene.pgm"
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--corpus", str(corpus), "--out", str(out),
+                     "--save_intermediates", "false", "--build_models", "false"]) == 0
+        scenes = {s["id"]: s for s in json.loads((out / "report.json").read_text())["scenes"]}
+        failed = {s["id"] for s in manifest["scenes"][:2]}
+        assert {sid for sid, s in scenes.items() if s.get("failed_stage") == "load"} == failed
+        assert all("error" not in s for sid, s in scenes.items() if sid not in failed)
 
     def test_config_file(self, corpus_dir, tmp_path):
         cfg = tmp_path / "pipeline.cfg"

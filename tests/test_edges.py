@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cartoseg.edges import (
     EdgeChain,
@@ -15,8 +16,8 @@ from cartoseg.edges import (
     refine_edges,
     to_json,
 )
-from cartoseg.raster import ScalarImage
-from oracles import dense_merge_chains
+from cartoseg.raster import FormatError, ScalarImage
+from oracles import bresenham_rasterize, dense_merge_chains, pointwise_canny
 
 
 def step_image(w=32, h=32, col=16, lo=0, hi=255):
@@ -243,3 +244,68 @@ class TestRasterizeAndJson:
         assert len(back.chains) == 2
         assert back.chains[1].closed
         assert np.allclose(back.chains[0].points, es.chains[0].points)
+
+
+# chains on a 0.25 px lattice around frames of 1 to 12 px, with points
+# negative, outside the frame and exactly halfway between pixels; steps are
+# mostly at most 3 px, where one pixel more or less in a line shows
+_quarter = st.integers(-24, 64)
+_step = st.integers(-12, 12) | st.integers(-80, 80)
+_raster_chains = st.lists(
+    st.tuples(
+        st.tuples(_quarter, _quarter),
+        st.lists(st.tuples(_step, _step), min_size=1, max_size=5),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+
+
+class TestRasterizeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_raster_chains, st.integers(1, 12), st.integers(1, 12))
+    def test_equals_bresenham_per_segment(self, drawn, width, height):
+        chains = [chain(np.cumsum([start, *steps], axis=0) / 4.0, closed)
+                  for start, steps, closed in drawn]
+        got = rasterize(EdgeSet(chains, width, height)).bits
+        assert np.array_equal(got, bresenham_rasterize(chains, width, height))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        es = EdgeSet([chain([(0, 0), (2, 2)]), chain([(bad, 1), (bad, 1)])], 4, 4)
+        with pytest.raises(ValueError):
+            rasterize(es)
+
+
+class TestCannyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(1, 14), st.integers(1, 14))),
+        st.sampled_from([0.6, 1.2]),
+        st.sampled_from([0.0, 0.4]),  # 0.0 lets flat, unsuppressed pixels in
+    )
+    def test_equals_pointwise_subpixel_loop(self, data, sigma, low_fraction):
+        got = canny(ScalarImage(data), sigma=sigma, low_fraction=low_fraction).chains
+        want = pointwise_canny(ScalarImage(data), sigma=sigma, low_fraction=low_fraction)
+        assert len(got) == len(want)
+        for c, (points, closed) in zip(got, want):
+            assert c.closed == closed
+            assert c.points.tobytes() == points.tobytes()
+
+
+class TestJsonPointBounds:
+    @pytest.mark.parametrize(
+        "point",
+        ["NaN, 1", "1, Infinity", "-Infinity, 1", "1e12, 1", "-9, 1", "17, 1", "1, -13", "1, 25"],
+    )
+    def test_far_or_non_finite_point_is_format_error(self, point):
+        """The frame is 8 x 12, so x may run from -8 to 16 and y from -12 to 24."""
+        text = ('{"width": 8, "height": 12, "chains": [{"closed": false, '
+                f'"points": [[1.0, 1.0], [{point}]]}}]}}')
+        with pytest.raises(FormatError):
+            from_json(text)
+
+    def test_one_frame_outside_accepted(self):
+        es = EdgeSet([chain([(-8, -12), (16, 24)])], 8, 12)
+        back = from_json(to_json(es))
+        assert np.array_equal(back.chains[0].points, es.chains[0].points)

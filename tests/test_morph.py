@@ -13,7 +13,13 @@ from cartoseg.morph import (
     skeletonize,
 )
 from cartoseg.raster import BinaryMask
-from oracles import disk_offsets, naive_dilate, naive_external_boundary, square_offsets
+from oracles import (
+    bfs_label_components,
+    disk_offsets,
+    naive_dilate,
+    naive_external_boundary,
+    square_offsets,
+)
 
 mask16 = arrays(bool, (16, 16))
 
@@ -199,3 +205,20 @@ class TestLabelComponents:
         _, n8 = label_components(bits, connectivity=8)
         _, n4 = label_components(bits, connectivity=4)
         assert n8 == 1 and n4 == 4
+
+    @pytest.mark.parametrize("connectivity", [0, 6, "8"])
+    def test_bad_connectivity_rejected(self, connectivity):
+        with pytest.raises(ValueError):
+            label_components(np.eye(3, dtype=bool), connectivity=connectivity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 12))),
+        st.sampled_from([4, 8]),
+    )
+    def test_equals_bfs_oracle(self, bits, connectivity):
+        labels, count = label_components(bits, connectivity=connectivity)
+        want, want_count = bfs_label_components(bits, connectivity)
+        assert count == want_count
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, want)

@@ -17,7 +17,7 @@ from cartoseg.watershed import (
     label_marker_components,
     watershed_flood,
 )
-from oracles import naive_watershed, regional_minima
+from oracles import erode8_impose_minima, naive_watershed, regional_minima
 
 
 def mask_at(shape, coords):
@@ -246,6 +246,18 @@ class TestFloodOracleProperty:
         got = watershed_flood(ScalarImage(relief), MarkerSet(BinaryMask(obj), BinaryMask(bg))).labels
         want, _ = naive_watershed(relief, obj, bg)
         assert np.array_equal(got, want)
+
+
+class TestImposeMinimaOracleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(flood_cases(), st.sampled_from([1.0, 0.1, 1e6, 1e305]))
+    def test_equals_erode8_loop(self, case, scale):
+        """Touching markers, flat reliefs and frames one pixel high or wide."""
+        relief, obj, bg = case
+        got = impose_minima(ScalarImage(relief * scale), MarkerSet(BinaryMask(obj), BinaryMask(bg)))
+        want = erode8_impose_minima(relief * scale, obj | bg)
+        assert got.data.dtype == np.float64
+        assert np.array_equal(got.data, want)
 
 
 class TestExtractObject:
