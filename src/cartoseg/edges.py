@@ -393,19 +393,26 @@ def _draw_line(bits: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
             y0 += sy
 
 
+def _bounded_points(es: EdgeSet) -> np.ndarray:
+    """Every chain point in order; ValueError unless each is finite and at
+    most one frame size outside the frame."""
+    pts = np.concatenate([c.points for c in es.chains]) if es.chains else np.empty((0, 2))
+    size = np.array([es.width, es.height])  # comparisons are False on NaN
+    if not ((pts >= -size) & (pts <= 2 * size)).all():
+        raise ValueError("a point is not finite or lies more than a frame outside it")
+    return pts
+
+
 def rasterize(es: EdgeSet) -> BinaryMask:
     """Draw every chain as a 1-pixel-wide line after rounding coordinates.
 
     Each segment, closing ones included, is a Bresenham line clipped to the
     frame.  One at most a pixel long per axis draws just its end points, so
-    only longer ones are walked.  Raises ValueError on a non-finite point.
+    only longer ones are walked.  Raises ValueError on a point that
+    `_bounded_points` rejects, so no walk is longer than three frames.
     """
     bits = np.zeros((es.height, es.width), dtype=bool)
-    if not es.chains:
-        return BinaryMask(bits)
-    pts = np.concatenate([c.points for c in es.chains])
-    if not np.isfinite(pts).all():
-        raise ValueError("chain points must be finite")
+    pts = _bounded_points(es)
     x, y = np.rint(pts).astype(int).T
     inside = (x >= 0) & (x < es.width) & (y >= 0) & (y < es.height)
     bits[y[inside], x[inside]] = True
@@ -443,9 +450,7 @@ def from_json(text: str) -> EdgeSet:
             for c in doc["chains"]
         ]
         es = EdgeSet(chains, int(doc["width"]), int(doc["height"]))
-        size = np.array([es.width, es.height])  # comparisons are False on NaN
-        if not all(((c.points >= -size) & (c.points <= 2 * size)).all() for c in chains):
-            raise ValueError("a point is not finite or lies more than a frame outside it")
+        _bounded_points(es)
         return es
     except DOC_ERRORS as exc:
         raise FormatError(f"not an edge set: {type(exc).__name__}: {exc}") from exc

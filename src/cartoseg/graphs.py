@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .morph import EmptyMask, label_components, skeletonize
+from .morph import _PAIRS, EmptyMask, _label_links, label_components, skeletonize
 from .raster import DOC_ERRORS, BinaryMask, FormatError
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
@@ -262,29 +262,12 @@ def _label_arcs(arcs: np.ndarray, skel: np.ndarray):
     skeleton (for instance a removed branch pixel) are not neighbors, so
     arms meeting at a junction stay separate arcs.
     """
-    h, w = arcs.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    count = 0
-    for sy, sx in zip(*np.nonzero(arcs)):
-        if labels[sy, sx]:
-            continue
-        count += 1
-        labels[sy, sx] = count
-        stack = [(int(sy), int(sx))]
-        while stack:
-            y, x = stack.pop()
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    if (dy, dx) == (0, 0):
-                        continue
-                    ny, nx = y + dy, x + dx
-                    if not (0 <= ny < h and 0 <= nx < w) or not arcs[ny, nx] or labels[ny, nx]:
-                        continue
-                    if dy != 0 and dx != 0 and (skel[ny, x] or skel[y, nx]):
-                        continue
-                    labels[ny, nx] = count
-                    stack.append((ny, nx))
-    return labels, count
+    links = [arcs[s] & arcs[t] for s, t in _PAIRS]
+    # the corners of an SE pair are the two pixels of the SW pair, and vice versa
+    (se_a, se_b), (sw_a, sw_b) = _PAIRS[2:]
+    links[2] &= ~(skel[sw_a] | skel[sw_b])
+    links[3] &= ~(skel[se_a] | skel[se_b])
+    return _label_links(arcs, links)
 
 
 def _arc_endpoints(bits: np.ndarray) -> list[tuple[float, float]]:

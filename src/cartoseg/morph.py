@@ -1,4 +1,5 @@
-"""Binary morphology: dilation, external boundary, thinning-based skeleton.
+"""Binary morphology: dilation, external boundary, thinning-based skeleton,
+and the package's one connected-component labeller.
 
 All operations clip at the image frame (no wraparound) and treat masks as
 immutable.  The skeleton uses Zhang-Suen style iterative thinning with
@@ -130,21 +131,29 @@ _PAIRS = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),
 def label_components(bits: np.ndarray, connectivity: int = 8):
     """Connected-component labels (row-major discovery order, from 1).
 
-    Returns (labels, count); background stays 0.  Whole-array union-find
-    (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12, 2009): each round hooks
-    every root to the least root it touches, and pointer jumping flattens
-    the trees.  No parent exceeds its pixel, so each root is the first
-    pixel of its component, and numbering the roots in order numbers the
-    components in discovery order.
+    Returns (labels, count); background stays 0.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, not {connectivity!r}")
     bits = np.asarray(bits, dtype=bool)
+    return _label_links(bits, [bits[s] & bits[t] for s, t in _PAIRS[: connectivity // 2]])
+
+
+def _label_links(bits: np.ndarray, links) -> tuple[np.ndarray, int]:
+    """`label_components` with explicit links: ``links[k]``, shaped like the
+    slices of ``_PAIRS[k]``, is True where a pixel of `bits` joins its
+    partner in `bits` in that direction.
+
+    Whole-array union-find (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12,
+    2009): each round hooks every root to the least root it touches, and
+    pointer jumping flattens the trees.  No parent exceeds its pixel, so
+    each root is the first pixel of its component, and numbering the roots
+    in order numbers the components in discovery order.
+    """
     flat = np.flatnonzero(bits)
     index = np.zeros(bits.shape, dtype=np.intp)  # pixel -> rank among the foreground
     index.flat[flat] = np.arange(flat.size)
-    pairs = [(s, t, bits[s] & bits[t]) for s, t in _PAIRS[: connectivity // 2]]
-    a, b = np.concatenate([(index[s][m], index[t][m]) for s, t, m in pairs], axis=1)
+    a, b = np.concatenate([(index[s][m], index[t][m]) for (s, t), m in zip(_PAIRS, links)], axis=1)
     parent = np.arange(flat.size)
     ra, rb = a, b
     while (split := ra != rb).any():

@@ -250,7 +250,7 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
 
     ``loaded`` maps a scene id to (pan, ms, truth_mask, offset), or to the
     message of the error that stopped its loading.  FormatError unless each
-    manifest scene has a string ``id`` and ``kind``.
+    manifest scene has a string ``id`` and ``kind``, and no two share an id.
     """
     corpus = Path(cfg.corpus)
     try:
@@ -258,6 +258,8 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
         entries = sorted(manifest["scenes"], key=lambda e: e["id"])
         if not all(isinstance(e["id"], str) and isinstance(e["kind"], str) for e in entries):
             raise ValueError("a scene id or kind is not a string")
+        if len({e["id"] for e in entries}) < len(entries):
+            raise ValueError("two scenes share an id")
     except DOC_ERRORS as exc:
         raise FormatError(f"not a corpus manifest: {type(exc).__name__}: {exc}") from exc
     loaded: dict = {}

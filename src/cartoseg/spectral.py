@@ -77,18 +77,13 @@ def corpus_mode_threshold(
 
 
 def _grow8(seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    out = seeds & allowed
-    while True:
-        p = np.pad(out, 1, constant_values=False)
-        grown = (
-            p[:-2, :-2] | p[:-2, 1:-1] | p[:-2, 2:]
-            | p[1:-1, :-2] | p[1:-1, 2:]
-            | p[2:, :-2] | p[2:, 1:-1] | p[2:, 2:]
-        )
-        new = out | (grown & allowed)
-        if np.array_equal(new, out):
-            return out
-        out = new
+    """The 8-connected components of `allowed` that hold a pixel of
+    ``seeds & allowed``."""
+    labels, count = label_components(allowed, connectivity=8)
+    hit = np.zeros(count + 1, dtype=bool)
+    hit[labels[seeds]] = True
+    hit[0] = False  # seeds outside `allowed`
+    return hit[labels]
 
 
 def hysteresis_segment(combined: ScalarImage, t: ThresholdPair) -> BinaryMask:
@@ -115,11 +110,9 @@ def keep_central_component(mask: BinaryMask, window: int = 5) -> BinaryMask:
     y0 = (h - window + 1) // 2
     x0 = (w - window + 1) // 2
     center = labels[y0 : y0 + window, x0 : x0 + window]
-    best, best_key = 0, (-1, -1)
-    for lab in range(1, count + 1):
-        overlap = int(np.count_nonzero(center == lab))
-        size = int(np.count_nonzero(labels == lab))
-        key = (overlap, size)
-        if key > best_key:  # ties keep the earlier (lower) label
-            best, best_key = lab, key
+    overlap = np.bincount(center.ravel(), minlength=count + 1)[1:]
+    size = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    # key (overlap, size) as one integer, since size < labels.size + 1;
+    # argmax keeps the first maximum, so ties keep the lower label
+    best = int(np.argmax(overlap * (labels.size + 1) + size)) + 1
     return BinaryMask(labels == best)

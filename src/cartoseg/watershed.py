@@ -115,10 +115,13 @@ def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
     Each pass sets ``cur = max(erode(cur), ceiling)``, until one changes
     nothing; ``erode`` is the 3x3 minimum, +inf outside the frame, taken on
     one +inf-bordered buffer as the minimum of three columns, then rows.
+    Raises ValueError on NaN or -inf relief, where no pass is a fixpoint.
     """
     f = grad.data.astype(np.float64)
     marked = markers.object_marker.bits | markers.background_marker.bits
     lo = float(f.min())
+    if not lo > -np.inf:  # also NaN, which the minimum propagates
+        raise ValueError("relief must not contain NaN or -inf")
     hi = float(f.max())
     step = (hi - lo) * 1e-3 if hi > lo else 1.0
     sentinel = lo - 1.0

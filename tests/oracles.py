@@ -81,10 +81,12 @@ def bfs_label_components(bits: np.ndarray, connectivity: int = 8):
 # ---------------------------------------------------------------------------
 
 
-def bfs_hysteresis(data: np.ndarray, t_high: float, t_low: float) -> np.ndarray:
-    h, w = data.shape
+def bfs_grow8(seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Stack flood fill through 8-neighbours in `allowed` from every pixel of
+    ``seeds & allowed``."""
+    h, w = allowed.shape
     out = np.zeros((h, w), dtype=bool)
-    stack = [(y, x) for y in range(h) for x in range(w) if data[y, x] >= t_high]
+    stack = [(y, x) for y in range(h) for x in range(w) if seeds[y, x] and allowed[y, x]]
     for y, x in stack:
         out[y, x] = True
     while stack:
@@ -96,11 +98,62 @@ def bfs_hysteresis(data: np.ndarray, t_high: float, t_low: float) -> np.ndarray:
                     0 <= ny < h
                     and 0 <= nx < w
                     and not out[ny, nx]
-                    and data[ny, nx] >= t_low
+                    and allowed[ny, nx]
                 ):
                     out[ny, nx] = True
                     stack.append((ny, nx))
     return out
+
+
+def bfs_hysteresis(data: np.ndarray, t_high: float, t_low: float) -> np.ndarray:
+    return bfs_grow8(data >= t_high, data >= t_low)
+
+
+def loop_keep_central(bits: np.ndarray, window: int = 5) -> np.ndarray:
+    """`spectral.keep_central_component` with two full-frame scans per label."""
+    if not bits.any():
+        return bits.copy()
+    labels, count = bfs_label_components(bits, 8)
+    h, w = bits.shape
+    y0 = (h - window + 1) // 2
+    x0 = (w - window + 1) // 2
+    center = labels[y0 : y0 + window, x0 : x0 + window]
+    best, best_key = 0, (-1, -1)
+    for lab in range(1, count + 1):
+        overlap = int(np.count_nonzero(center == lab))
+        size = int(np.count_nonzero(labels == lab))
+        key = (overlap, size)
+        if key > best_key:  # ties keep the earlier (lower) label
+            best, best_key = lab, key
+    return labels == best
+
+
+def bfs_label_arcs(arcs: np.ndarray, skel: np.ndarray):
+    """`graphs._label_arcs` as a stack flood fill: a diagonal step is cut
+    where either orthogonal corner pixel is in `skel`."""
+    h, w = arcs.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    count = 0
+    for sy, sx in zip(*np.nonzero(arcs)):
+        if labels[sy, sx]:
+            continue
+        count += 1
+        labels[sy, sx] = count
+        stack = [(int(sy), int(sx))]
+        while stack:
+            y, x = stack.pop()
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if (dy, dx) == (0, 0):
+                        continue
+                    ny, nx = y + dy, x + dx
+                    if not (0 <= ny < h and 0 <= nx < w) or not arcs[ny, nx] or labels[ny, nx]:
+                        continue
+                    if dy != 0 and dx != 0 and (skel[ny, x] or skel[y, nx]):
+                        continue
+                    labels[ny, nx] = count
+                    stack.append((ny, nx))
+    return labels, count
 
 
 def histogram_mode(values, delta: float):
@@ -152,14 +205,13 @@ def naive_magnify(src: np.ndarray, factor: int) -> np.ndarray:
 def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
     """`edges.canny` with the sub-pixel offset computed pixel by pixel.
 
-    Smoothing, gradient, suppression, hysteresis and tracing are the
-    package's own helpers; only the per-point loop is independent.
+    Smoothing, gradient, suppression and tracing are the package's own
+    helpers; hysteresis and the per-point loop are independent.
     Returns (points, closed) per chain.
     """
     from cartoseg.edges import (
         _SECTOR_STEP, _gaussian_blur, _shifted, _sobel_pair, _trace_chains,
     )
-    from cartoseg.spectral import _grow8
 
     smooth = _gaussian_blur(img.data.astype(np.float64), sigma)
     gx, gy = _sobel_pair(smooth)
@@ -175,7 +227,7 @@ def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
         return []
     h, w = mag.shape
     chains = []
-    for path, closed in _trace_chains(_grow8(nms >= hi, nms >= low_fraction * hi)):
+    for path, closed in _trace_chains(bfs_hysteresis(nms, hi, low_fraction * hi)):
         pts = np.empty((len(path), 2), dtype=np.float64)
         for i, (y, x) in enumerate(path):
             dy, dx = _SECTOR_STEP[int(sector[y, x])]

@@ -271,6 +271,15 @@ class TestStageCommands:
         assert doc == {"category": "correct", "iou": 1.0}
 
 
+# two readable scenes that share one id
+_DUPLICATE_IDS = json.dumps({"scenes": [
+    {"id": "scene_000", "kind": "bridge",
+     "files": {k: f"scene_00{i}_{v}" for k, v in
+               (("pan", "pan.pgm"), ("ms", "ms.ppm"), ("truth", "truth.json"),
+                ("truth_mask", "truth.pgm"))}}
+    for i in (0, 1)]})
+
+
 class TestPipelineCommand:
     def test_full_run_with_flag_override(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -295,8 +304,8 @@ class TestPipelineCommand:
     @pytest.mark.parametrize(
         "text",
         ["garbage", '{"scenes": [{"id": "x"}]}', "[]", '{"scenes": 3}',
-         '{"scenes": [{"id": 1, "kind": "bridge"}]}'],
-        ids=["not-json", "no-kind", "list", "scenes-int", "int-id"],
+         '{"scenes": [{"id": 1, "kind": "bridge"}]}', _DUPLICATE_IDS],
+        ids=["not-json", "no-kind", "list", "scenes-int", "int-id", "duplicate-id"],
     )
     def test_malformed_manifest_is_two_before_any_write(self, corpus_dir, tmp_path, text, capsys):
         corpus = tmp_path / "corpus"

@@ -248,7 +248,8 @@ class TestRasterizeAndJson:
 
 # chains on a 0.25 px lattice around frames of 1 to 12 px, with points
 # negative, outside the frame and exactly halfway between pixels; steps are
-# mostly at most 3 px, where one pixel more or less in a line shows
+# mostly at most 3 px, where one pixel more or less in a line shows.  The
+# test clips the points to the bound `rasterize` accepts, one frame outside.
 _quarter = st.integers(-24, 64)
 _step = st.integers(-12, 12) | st.integers(-80, 80)
 _raster_chains = st.lists(
@@ -265,13 +266,15 @@ class TestRasterizeOracle:
     @settings(max_examples=300, deadline=None)
     @given(_raster_chains, st.integers(1, 12), st.integers(1, 12))
     def test_equals_bresenham_per_segment(self, drawn, width, height):
-        chains = [chain(np.cumsum([start, *steps], axis=0) / 4.0, closed)
+        lo, hi = -4 * np.array([width, height]), 8 * np.array([width, height])
+        chains = [chain(np.clip(np.cumsum([start, *steps], axis=0), lo, hi) / 4.0, closed)
                   for start, steps, closed in drawn]
         got = rasterize(EdgeSet(chains, width, height)).bits
         assert np.array_equal(got, bresenham_rasterize(chains, width, height))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e9])
     def test_non_finite_point_rejected(self, bad):
+        """Also a finite point more than a frame outside the 4 x 4 frame."""
         es = EdgeSet([chain([(0, 0), (2, 2)]), chain([(bad, 1), (bad, 1)])], 4, 4)
         with pytest.raises(ValueError):
             rasterize(es)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cartoseg import edges
 from cartoseg.graphs import (
@@ -26,10 +27,11 @@ from cartoseg.graphs import (
     model_distance,
     model_from_json,
     model_to_json,
+    _label_arcs,
 )
 from cartoseg.morph import EmptyMask
 from cartoseg.raster import BinaryMask, FormatError
-from oracles import brute_isomorphic, brute_mcs_size, can_embed, random_arg
+from oracles import bfs_label_arcs, brute_isomorphic, brute_mcs_size, can_embed, random_arg
 
 EE = ("end-to-end", "E")
 
@@ -157,6 +159,19 @@ class TestDecomposeSkeleton:
         assert len(circles) == 1
         assert circles[0].radius == pytest.approx(14.0, abs=1.5)  # ring centerline
         assert len(segs) == 4
+
+
+class TestLabelArcsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape))))
+    def test_equals_bfs(self, masks):
+        """Skeleton pixels off the arcs cut the diagonal steps they flank."""
+        arcs, extra = masks
+        labels, count = _label_arcs(arcs, arcs | extra)
+        want, want_count = bfs_label_arcs(arcs, arcs | extra)
+        assert count == want_count
+        assert np.array_equal(labels, want)
 
 
 class TestBuildArg:

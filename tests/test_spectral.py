@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cartoseg.raster import BinaryMask, MultiSpectralImage, ScalarImage
 from cartoseg.spectral import (
@@ -8,10 +9,13 @@ from cartoseg.spectral import (
     ThresholdPair,
     band_combine,
     corpus_mode_threshold,
+    _grow8,
     hysteresis_segment,
     keep_central_component,
 )
-from oracles import bfs_hysteresis, histogram_mode
+from oracles import bfs_grow8, bfs_hysteresis, histogram_mode, loop_keep_central
+
+_frames = st.tuples(st.integers(1, 16), st.integers(1, 16))
 
 
 def ms_from(ch1, ch2, ch3, res=10.0):
@@ -116,13 +120,19 @@ class TestHysteresis:
         assert out.bits[2, 1:5].all()
         assert not out.bits[2, 7]
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_bfs_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.uniform(0, 100, (16, 16))
-        out = hysteresis_segment(ScalarImage(data), ThresholdPair(80.0, 55.0))
-        assert np.array_equal(out.bits, bfs_hysteresis(data, 80.0, 55.0))
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.uint8, _frames, elements=st.integers(0, 9)),
+           st.integers(0, 10), st.integers(0, 10))
+    def test_matches_bfs_oracle(self, data, a, b):
+        t = ThresholdPair(float(max(a, b)), float(min(a, b)))
+        out = hysteresis_segment(ScalarImage(data), t)
+        assert np.array_equal(out.bits, bfs_hysteresis(data, t.t_high, t.t_low))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_frames.flatmap(lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape))))
+    def test_grow8_equals_bfs_with_seeds_outside_allowed(self, masks):
+        seeds, allowed = masks
+        assert np.array_equal(_grow8(seeds, allowed), bfs_grow8(seeds, allowed))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -169,3 +179,9 @@ class TestKeepCentralComponent:
     def test_empty_passthrough(self):
         m = BinaryMask(np.zeros((5, 5), dtype=bool))
         assert keep_central_component(m).is_empty()
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, _frames), st.integers(1, 7))
+    def test_equals_per_label_loop(self, bits, window):
+        got = keep_central_component(BinaryMask(bits), window).bits
+        assert np.array_equal(got, loop_keep_central(bits, window))

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cartoseg
 from cartoseg.edges import EdgeChain, EdgeSet, rasterize
 from cartoseg.raster import BinaryMask, ScalarImage
 from cartoseg.watershed import (
@@ -150,6 +157,28 @@ class TestImposeMinima:
                 for y, x in zip(*np.nonzero(m.bits)):
                     expected.add(frozenset([(int(y), int(x))]))
             assert minima == expected
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_nan_or_minus_inf_relief_rejected_promptly(self, bad):
+        """No reconstruction pass is a fixpoint on such a relief, so the call
+        runs in a subprocess, where a hang ends at the timeout."""
+        code = textwrap.dedent(f"""
+            import numpy as np
+            from cartoseg.raster import BinaryMask, ScalarImage
+            from cartoseg.watershed import MarkerSet, impose_minima
+            data = np.zeros((4, 4))
+            data[1, 2] = float("{bad}")
+            obj, bg = np.zeros((2, 4, 4), dtype=bool)
+            obj[0, 0] = bg[3, 3] = True
+            try:
+                impose_minima(ScalarImage(data), MarkerSet(BinaryMask(obj), BinaryMask(bg)))
+            except ValueError:
+                raise SystemExit(3)
+        """)
+        src = str(Path(cartoseg.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
 
 
 class TestWatershedFlood:
