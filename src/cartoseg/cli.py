@@ -21,7 +21,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import graphs, synth
-from .edges import from_json as edges_from_json, to_json as edges_to_json
+from .edges import EdgeSet, from_json as edges_from_json, to_json as edges_to_json
 from .morph import EmptyMask
 from .pipeline import (
     PipelineConfig,
@@ -101,10 +101,21 @@ def _cmd_edges(a) -> int:
     return 0
 
 
+def _read_edges(path, pan) -> EdgeSet:
+    """The edge file at ``path``; FormatError unless it declares the pan's frame,
+    on which its chains are drawn."""
+    es = edges_from_json(Path(path).read_text())
+    if (es.width, es.height) != (pan.width, pan.height):
+        raise FormatError(
+            f"edge file frame {es.width}x{es.height} differs from the pan's {pan.width}x{pan.height}"
+        )
+    return es
+
+
 def _cmd_match(a) -> int:
     mask = read_mask(a.mask)
     pan = read_raster(a.pan)
-    es = edges_from_json(Path(a.edges).read_text())
+    es = _read_edges(a.edges, pan)
     result = place_mask(mask, es, pan, _config(a))
     doc = {
         "offset": list(result.offset),
@@ -124,7 +135,7 @@ def _cmd_extract(a) -> int:
     cfg = _config(a)
     pan = read_raster(a.pan)
     mask = read_mask(a.mask)
-    es = edges_from_json(Path(a.edges).read_text())
+    es = _read_edges(a.edges, pan)
     _, labels, obj = extract_scene(pan, mask, skeleton_marker(mask, cfg), es, cfg)
     out = Path(a.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -210,14 +210,30 @@ def _reduced_degree(bits: np.ndarray) -> np.ndarray:
 
 
 def _two_core(bits: np.ndarray) -> np.ndarray:
-    """Pixels on cycles: iteratively strip everything whose reduced degree
-    is below 2."""
-    core = bits.copy()
-    while True:
-        keep = core & (_reduced_degree(core) >= 2)
-        if np.array_equal(keep, core):
-            return core
-        core = keep
+    """Pixels on cycles: strip everything whose reduced degree is below 2,
+    pass after pass, until a pass strips nothing.
+
+    The reduced degree reads a pixel's 3x3 window only, so after the first
+    pass only the 8-neighbours of the pixels just stripped are looked at
+    again.
+    """
+    core = np.pad(bits, 1)
+    flat = core.ravel()  # a view: writes go to core
+    w = core.shape[1]
+    ring = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    cand = np.flatnonzero(flat)
+    while cand.size:
+        nw, n, ne, west, e, sw, s, se = flat[cand[:, None] + ring].T
+        deg = n.astype(np.uint8) + s + west + e
+        deg += nw & ~n & ~west
+        deg += ne & ~n & ~e
+        deg += sw & ~s & ~west
+        deg += se & ~s & ~e
+        drop = cand[deg < 2]
+        flat[drop] = False
+        near = (drop[:, None] + ring).ravel()
+        cand = np.unique(near[flat[near]])
+    return core[1:-1, 1:-1]
 
 
 def _skeleton_primitives(mask: BinaryMask, resolution: float) -> list[Primitive]:
@@ -504,65 +520,77 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
     Branch and bound over the association graph; ties by vertex count
     resolve toward more common edges, then the lexicographically smallest
     mapping.  Raises BudgetExceeded rather than approximating.
+
+    Vertex pairs are numbered in (v1, v2) order, and candidate sets are
+    Python ints with one bit per pair (bit-parallel max-clique search, San
+    Segundo et al., Computers & OR 38(2), 2011).  Each search call takes the
+    lowest candidate, so the nodes visited, and hence where the budget
+    trips, are those of the plain list search.
     """
-    pairs = [
-        (a, b)
-        for a in range(g1.size)
-        for b in range(g2.size)
-        if g1.kind(a) == g2.kind(b)
-    ]
-    n = len(pairs)
-    e1 = g1.edge_attrs()
-    e2 = g2.edge_attrs()
+    codes: dict = {}
 
-    def attr1(a, b):
-        return e1.get((a, b) if a < b else (b, a))
+    def coded(g: Arg):
+        kinds = np.array([codes.setdefault(k, len(codes)) for _, k in g.vertices], dtype=np.int64)
+        attrs = np.zeros((g.size, g.size), dtype=np.int64)  # 0: no edge
+        for a, b, conn, d in g.edges:
+            attrs[a, b] = attrs[b, a] = codes.setdefault((conn, d), len(codes) + 1)
+        return kinds, attrs
 
-    def attr2(a, b):
-        return e2.get((a, b) if a < b else (b, a))
+    (k1, at1), (k2, at2) = coded(g1), coded(g2)
+    pa, pb = np.nonzero(k1[:, None] == k2)
+    n, pa1, pb1 = len(pa), pa[:, None], pb[:, None]
+    edges1 = at1[pa1, pa]
+    rows = np.concatenate([
+        (pa1 != pa) & (pb1 != pb) & (edges1 == at2[pb1, pb]),  # compatible pairs
+        edges1 != 0,  # pairs whose g1 vertices are adjacent
+        np.arange(g1.size)[:, None] == pa,  # the pairs of each g1 vertex
+        np.arange(g2.size)[:, None] == pb,
+    ])
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    buf, step = packed.tobytes(), max(packed.shape[1], 1)  # no pairs: no bytes
+    bits = [int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step)]
+    compat, nbr = bits[:n], bits[n : 2 * n]
+    of_v1 = [m for m in bits[2 * n : 2 * n + g1.size] if m]
+    of_v2 = [m for m in bits[2 * n + g1.size :] if m]
 
-    compat = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        a1, b1 = pairs[i]
-        for j in range(i + 1, n):
-            a2, b2 = pairs[j]
-            if a1 != a2 and b1 != b2 and attr1(a1, a2) == attr2(b1, b2):
-                compat[i, j] = compat[j, i] = True
-
-    def edge_count(chosen: list[int]) -> int:
-        total = 0
-        for x in range(len(chosen)):
-            for y in range(x + 1, len(chosen)):
-                if attr1(pairs[chosen[x]][0], pairs[chosen[y]][0]) is not None:
-                    total += 1
-        return total
-
-    best: list[int] = []
+    best = 0
     best_score = (0, -1)
     nodes = 0
 
-    def extend(chosen: list[int], cand: list[int]) -> None:
+    def extend(chosen: int, k: int, cand: int) -> None:
+        # the first branch takes the lowest candidate; the loop is the second
         nonlocal best, best_score, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"graph search exceeded {node_budget} nodes")
-        bound = len(chosen) + min(
-            len({pairs[j][0] for j in cand}), len({pairs[j][1] for j in cand})
-        )
-        if bound < best_score[0]:
-            return
-        if not cand:
-            score = (len(chosen), edge_count(chosen))
-            if score > best_score:
-                best = list(chosen)
-                best_score = score
-            return
-        i = cand[0]
-        extend(chosen + [i], [j for j in cand[1:] if compat[i, j]])
-        extend(chosen, cand[1:])
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(f"graph search exceeded {node_budget} nodes")
+            if not cand:
+                if k < best_score[0]:
+                    return
+                edges, rest = 0, chosen
+                while rest:
+                    low = rest & -rest
+                    edges += (nbr[low.bit_length() - 1] & chosen).bit_count()
+                    rest ^= low
+                score = (k, edges // 2)
+                if score > best_score:
+                    best, best_score = chosen, score
+                return
+            # bound: k + the distinct vertices left on the smaller side, which
+            # is at least k + 1 and at most k + |cand|
+            need = best_score[0] - k
+            if need > 1 and (
+                cand.bit_count() < need
+                or len([m for m in of_v1 if cand & m]) < need
+                or len([m for m in of_v2 if cand & m]) < need
+            ):
+                return
+            low = cand & -cand
+            cand ^= low
+            extend(chosen | low, k + 1, cand & compat[low.bit_length() - 1])
 
-    extend([], list(range(n)))
-    return [pairs[i] for i in best]
+    extend(0, 0, (1 << n) - 1)
+    return [(int(pa[i]), int(pb[i])) for i in range(n) if best >> i & 1]
 
 
 def _induced_subgraph(g: Arg, keep: list[int]) -> Arg:

@@ -9,6 +9,7 @@ operation returns a new object instead of mutating in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,6 +215,8 @@ def _parse_header(raw: bytes):
                     resolution = float(comment[len(_RESOLUTION_TAG) :].split()[0])
                 except (ValueError, IndexError):
                     raise FormatError("bad resolution comment") from None
+                if not 0 < resolution < math.inf:  # False on NaN too
+                    raise FormatError(f"resolution {resolution} is not finite and positive")
             pos = end + 1
             continue
         start = pos

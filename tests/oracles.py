@@ -605,3 +605,82 @@ def random_arg(rng, max_vertices=5, kinds=("rectangle", "circle", "segment")):
                 d = ("E", "NE", "N", "SE")[int(rng.integers(0, 4))]
                 edges.append((a, b, conn, d))
     return Arg(vertices, edges)
+
+
+def pass_two_core(bits: np.ndarray) -> np.ndarray:
+    """Two-core by synchronous full-frame passes: every pass strips all
+    pixels whose reduced degree is below 2, until a pass strips none."""
+    from cartoseg.graphs import _reduced_degree
+
+    core = bits.copy()
+    while True:
+        keep = core & (_reduced_degree(core) >= 2)
+        if np.array_equal(keep, core):
+            return core
+        core = keep
+
+
+def list_mcs_mapping(g1, g2, node_budget: int):
+    """Branch and bound over the association graph with list candidate
+    sets and a dense compatibility matrix.  Returns (mapping, nodes); the
+    node count is the number of search calls made."""
+    from cartoseg.graphs import BudgetExceeded
+
+    pairs = [
+        (a, b)
+        for a in range(len(g1.vertices))
+        for b in range(len(g2.vertices))
+        if g1.vertices[a][1] == g2.vertices[b][1]
+    ]
+    n = len(pairs)
+    e1 = g1.edge_attrs()
+    e2 = g2.edge_attrs()
+
+    def attr1(a, b):
+        return e1.get((a, b) if a < b else (b, a))
+
+    def attr2(a, b):
+        return e2.get((a, b) if a < b else (b, a))
+
+    compat = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        a1, b1 = pairs[i]
+        for j in range(i + 1, n):
+            a2, b2 = pairs[j]
+            if a1 != a2 and b1 != b2 and attr1(a1, a2) == attr2(b1, b2):
+                compat[i, j] = compat[j, i] = True
+
+    def edge_count(chosen):
+        total = 0
+        for x in range(len(chosen)):
+            for y in range(x + 1, len(chosen)):
+                if attr1(pairs[chosen[x]][0], pairs[chosen[y]][0]) is not None:
+                    total += 1
+        return total
+
+    best: list[int] = []
+    best_score = (0, -1)
+    nodes = 0
+
+    def extend(chosen, cand):
+        nonlocal best, best_score, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded(f"graph search exceeded {node_budget} nodes")
+        bound = len(chosen) + min(
+            len({pairs[j][0] for j in cand}), len({pairs[j][1] for j in cand})
+        )
+        if bound < best_score[0]:
+            return
+        if not cand:
+            score = (len(chosen), edge_count(chosen))
+            if score > best_score:
+                best = list(chosen)
+                best_score = score
+            return
+        i = cand[0]
+        extend(chosen + [i], [j for j in cand[1:] if compat[i, j]])
+        extend(chosen, cand[1:])
+
+    extend([], list(range(n)))
+    return [pairs[i] for i in best], nodes

@@ -129,6 +129,25 @@ class TestExitCodes:
         assert done.returncode == 2
         assert done.stderr.startswith("error: not an edge set")
 
+    @pytest.mark.parametrize("command", ["match", "extract"])
+    def test_edge_frame_mismatch_is_two(self, tmp_path, corpus_dir, command, capsys):
+        """The chains are drawn on the pan, so the edge file must declare its frame."""
+        entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
+        pan_path = str(corpus_dir / entry["files"]["pan"])
+        edges_path = tmp_path / "edges.json"
+        assert main(["edges", "--pan", pan_path, "--out", str(edges_path)]) == 0
+        doc = json.loads(edges_path.read_text())
+        w, h = doc["width"], doc["height"]
+        edges_path.write_text(json.dumps({**doc, "width": 999}))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main([command, "--mask", str(corpus_dir / entry["files"]["truth_mask"]),
+                   "--pan", pan_path, "--edges", str(edges_path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: edge file frame 999x{h} differs from the pan's {w}x{h}\n")
+        assert not out.exists()
+
     def test_no_prototype_is_two(self, tmp_path, corpus_dir, capsys):
         masks = tmp_path / "masks"
         masks.mkdir()

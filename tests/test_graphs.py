@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from cartoseg import edges
 from cartoseg.graphs import (
+    CONNECTION_KINDS,
+    DIRECTION_BINS,
     Arg,
     BudgetExceeded,
     EmptyInput,
@@ -28,10 +30,20 @@ from cartoseg.graphs import (
     model_from_json,
     model_to_json,
     _label_arcs,
+    _mcs_mapping,
+    _two_core,
 )
-from cartoseg.morph import EmptyMask
+from cartoseg.morph import EmptyMask, skeletonize
 from cartoseg.raster import BinaryMask, FormatError
-from oracles import bfs_label_arcs, brute_isomorphic, brute_mcs_size, can_embed, random_arg
+from oracles import (
+    bfs_label_arcs,
+    brute_isomorphic,
+    brute_mcs_size,
+    can_embed,
+    list_mcs_mapping,
+    pass_two_core,
+    random_arg,
+)
 
 EE = ("end-to-end", "E")
 
@@ -174,6 +186,20 @@ class TestLabelArcsOracle:
         assert np.array_equal(labels, want)
 
 
+class TestTwoCoreOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+        lambda shape: arrays(bool, shape)), st.booleans())
+    def test_equals_pass_loop(self, bits, thin):
+        """Random frames, and thinned ones, which peel one pixel per arm end
+        and pass."""
+        if thin and bits.any():
+            bits = skeletonize(BinaryMask(bits)).bits
+        got = _two_core(bits)
+        assert got.dtype == bool
+        assert np.array_equal(got, pass_two_core(bits))
+
+
 class TestBuildArg:
     def test_touching_collinear_segments(self):
         a = make_segment((0.0, 0.0), (10.0, 0.0))
@@ -250,6 +276,37 @@ class TestMaxCommonSubgraph:
         g = path(["a"] * 5)
         with pytest.raises(BudgetExceeded):
             max_common_subgraph(g, g, node_budget=3)
+
+
+@st.composite
+def small_args(draw, max_vertices=8):
+    n = draw(st.integers(0, max_vertices))
+    kinds = draw(st.lists(st.sampled_from(("rectangle", "circle", "segment")),
+                          min_size=n, max_size=n))
+    links = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    attrs = draw(st.lists(
+        st.none() | st.tuples(st.sampled_from(CONNECTION_KINDS), st.sampled_from(DIRECTION_BINS)),
+        min_size=len(links), max_size=len(links)))
+    return Arg(list(enumerate(kinds)), [(a, b, *at) for (a, b), at in zip(links, attrs) if at])
+
+
+class TestMcsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(small_args(), small_args())
+    def test_same_mapping_and_nodes_as_list_search(self, g1, g2):
+        """The bitset search returns the list search's mapping and visits the
+        same nodes: it exceeds a budget exactly when the list search does.
+        Every budget up to 400 is tried, and the three around the list
+        search's node count (two 8-vertex graphs of one kind and no edge
+        take 219,201 nodes)."""
+        want, nodes = list_mcs_mapping(g1, g2, 10**9)
+        assert _mcs_mapping(g1, g2) == want
+        for budget in set(range(1, min(nodes, 400) + 1)) | {max(nodes - 1, 1), nodes, nodes + 1}:
+            if budget < nodes:
+                with pytest.raises(BudgetExceeded):
+                    _mcs_mapping(g1, g2, budget)
+            else:
+                assert _mcs_mapping(g1, g2, budget) == want
 
 
 class TestMinCommonSupergraph:

@@ -134,6 +134,46 @@ class TestTranslate:
         assert translate(m, 5, 0).count == 0
 
 
+@st.composite
+def near_pnm(draw):
+    """Bytes of a valid binary PGM/PPM with a drawn resolution comment, then
+    maybe one corruption: a header field replaced, a byte changed or a cut."""
+    magic = draw(st.sampled_from(["P5", "P6"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    fields = [magic, str(width), str(height), "255"]
+    comment = draw(st.none() | st.floats().map(str) | st.sampled_from(["", "2.5 m/px", "x"]))
+    need = width * height * (3 if magic == "P6" else 1)
+    payload = draw(st.binary(min_size=need, max_size=need + 2))
+    corruption = draw(st.sampled_from(["none", "field", "byte", "cut"]))
+    if corruption == "field":
+        fields[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            ["P2", "P", "Q5", "0", "-1", "", "x", "1.5", "256", "65535", "9" * 30]))
+    head = fields[0] + "\n"
+    if comment is not None:
+        head += f"# resolution {comment}\n"
+    raw = (head + " ".join(fields[1:3]) + "\n" + fields[3] + "\n").encode() + payload
+    if corruption == "byte":
+        at = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+    elif corruption == "cut":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    return raw
+
+
+class TestReadRasterFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=near_pnm())
+    def test_image_or_format_error(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+        p.write_bytes(raw)
+        try:
+            img = read_raster(p)
+        except FormatError:
+            return
+        assert isinstance(img, (ScalarImage, MultiSpectralImage))
+        assert 0 < img.resolution < float("inf")
+
+
 class TestIO:
     def test_pgm_roundtrip(self, tmp_path):
         img = gradient_image(3, 2)
@@ -177,6 +217,13 @@ class TestIO:
         p = tmp_path / "short.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(FormatError):
+            read_raster(p)
+
+    @pytest.mark.parametrize("value", ["-2", "nan", "0", "inf", "-inf", "1e999"])
+    def test_resolution_comment_not_finite_positive(self, tmp_path, value):
+        p = tmp_path / "res.pgm"
+        p.write_bytes(f"P5\n# resolution {value} m/px\n2 2\n255\n".encode() + bytes(4))
+        with pytest.raises(FormatError, match="resolution"):
             read_raster(p)
 
     def test_mask_roundtrip(self, tmp_path):
