@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .morph import _neighbor_planes
 from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage
 from .spectral import ThresholdPair, _grow8
 
-# quantized gradient sectors -> (dy, dx) step along the gradient
+# quantized gradient sectors -> (dy, dx) step along the gradient; sector k
+# steps to neighbor plane k + 2 (E, SE, S, SW) and back to plane (k + 6) % 8
 _SECTOR_STEP = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
 
 
@@ -74,23 +77,11 @@ def _gaussian_blur(f: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _sobel_pair(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.pad(f, 1, mode="edge")
-    gx = (
-        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
-    )
-    gy = (
-        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
-    )
+    """Sobel x and y derivatives, with the border pixels replicated."""
+    n, ne, e, se, s, sw, w, nw = _neighbor_planes(f, "edge")
+    gx = (ne + 2.0 * e + se) - (nw + 2.0 * w + sw)
+    gy = (sw + 2.0 * s + se) - (nw + 2.0 * n + ne)
     return gx, gy
-
-
-def _shifted(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """a sampled at (y+dy, x+dx), zero outside the frame."""
-    h, w = a.shape
-    p = np.pad(a, 1, constant_values=0.0)
-    return p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
 
 
 _TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -174,10 +165,9 @@ def canny(
     sector = (np.round(np.arctan2(gy, gx) / (math.pi / 4.0)).astype(int)) % 4
 
     keep = np.zeros(mag.shape, dtype=bool)
-    for k, (dy, dx) in _SECTOR_STEP.items():
-        fwd = _shifted(mag, dy, dx)
-        bwd = _shifted(mag, -dy, -dx)
-        keep |= (sector == k) & (mag >= fwd) & (mag > bwd)
+    planes = _neighbor_planes(mag)
+    for k in _SECTOR_STEP:
+        keep |= (sector == k) & (mag >= planes[k + 2]) & (mag > planes[(k + 6) % 8])
     nms = np.where(keep, mag, 0.0)
 
     if thresholds is None:
@@ -215,23 +205,22 @@ def canny(
 
 
 def _smooth_chain(chain: EdgeChain, window: int) -> EdgeChain:
+    """Each point becomes the mean of the points within ``window // 2`` of it,
+    summed in chain order as `mean(axis=0)` would.  A closed chain's window
+    wraps around; an open chain's stops at its ends, which stay put."""
     pts = chain.points
     n = len(pts)
     if window <= 1 or n < 3:
         return EdgeChain(pts.copy(), chain.closed)
     half = window // 2
-    out = pts.copy()
-    if chain.closed:
-        idx = np.arange(n)
-        acc = np.zeros_like(pts)
-        for d in range(-half, half + 1):
-            acc += pts[(idx + d) % n]
-        out = acc / (2 * half + 1)
-    else:
-        for i in range(1, n - 1):  # endpoints untouched
-            lo = max(0, i - half)
-            hi = min(n, i + half + 1)
-            out[i] = pts[lo:hi].mean(axis=0)
+    idx = np.arange(n)[:, None] + np.arange(-half, half + 1)
+    inside = chain.closed | ((idx >= 0) & (idx < n))
+    acc = np.zeros_like(pts)
+    for col, ok in zip(idx.T % n, inside.T):
+        np.add(acc, pts[col], out=acc, where=ok[:, None])
+    out = acc / np.count_nonzero(inside, axis=1)[:, None]
+    if not chain.closed:
+        out[[0, -1]] = pts[[0, -1]]
     return EdgeChain(out, chain.closed)
 
 
@@ -433,7 +422,7 @@ def to_json(es: EdgeSet) -> str:
         "width": es.width,
         "height": es.height,
         "chains": [
-            {"closed": c.closed, "points": [[float(x), float(y)] for x, y in c.points]}
+            {"closed": c.closed, "points": c.points.tolist()}
             for c in es.chains
         ],
     }
@@ -442,14 +431,15 @@ def to_json(es: EdgeSet) -> str:
 
 def from_json(text: str) -> EdgeSet:
     """The edge set a `to_json` document describes; FormatError for any other
-    text, or for a point not finite or more than a frame size outside it."""
+    text, for a width or height that is not an integer, or for a point not
+    finite or more than a frame size outside it."""
     try:
         doc = json.loads(text)
         chains = [
             EdgeChain(np.array(c["points"], dtype=np.float64), bool(c["closed"]))
             for c in doc["chains"]
         ]
-        es = EdgeSet(chains, int(doc["width"]), int(doc["height"]))
+        es = EdgeSet(chains, operator.index(doc["width"]), operator.index(doc["height"]))
         _bounded_points(es)
         return es
     except DOC_ERRORS as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .morph import _PAIRS, EmptyMask, _label_links, label_components, skeletonize
+from .morph import _PAIRS, EmptyMask, _label_links, _neighbor_planes, label_components, skeletonize
 from .raster import DOC_ERRORS, BinaryMask, FormatError
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
@@ -190,23 +190,25 @@ def _fit_shape(bits: np.ndarray, resolution: float) -> Primitive:
     )
 
 
-def _reduced_degree(bits: np.ndarray) -> np.ndarray:
-    """Neighbor counts after dropping redundant diagonal links.
+def _reduced(n, ne, e, se, s, sw, w, nw):
+    """Neighbor count from the eight neighbor flags after dropping redundant
+    diagonal links.
 
     A diagonal adjacency that also has an orthogonal two-step path (one of
     the two shared orthogonal pixels is set) is skipped, so staircase
     artifacts in thinned skeletons do not read as extra connectivity.
     """
-    h, w = bits.shape
-    p = np.pad(bits, 1, constant_values=False)
+    deg = n.astype(np.uint8) + s + w + e
+    deg += nw & ~n & ~w
+    deg += ne & ~n & ~e
+    deg += sw & ~s & ~w
+    deg += se & ~s & ~e
+    return deg
 
-    def sh(dy, dx):
-        return p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
 
-    deg = sum(sh(dy, dx).astype(np.uint8) for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)))
-    for dy, dx in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-        deg += (sh(dy, dx) & ~sh(dy, 0) & ~sh(0, dx)).astype(np.uint8)
-    return deg * bits
+def _reduced_degree(bits: np.ndarray) -> np.ndarray:
+    """`_reduced` at every pixel of `bits`, 0 off it."""
+    return _reduced(*_neighbor_planes(bits)) * bits
 
 
 def _two_core(bits: np.ndarray) -> np.ndarray:
@@ -220,16 +222,10 @@ def _two_core(bits: np.ndarray) -> np.ndarray:
     core = np.pad(bits, 1)
     flat = core.ravel()  # a view: writes go to core
     w = core.shape[1]
-    ring = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    ring = np.array([-w, -w + 1, 1, w + 1, w, w - 1, -1, -w - 1])  # N, NE, ..., NW
     cand = np.flatnonzero(flat)
     while cand.size:
-        nw, n, ne, west, e, sw, s, se = flat[cand[:, None] + ring].T
-        deg = n.astype(np.uint8) + s + west + e
-        deg += nw & ~n & ~west
-        deg += ne & ~n & ~e
-        deg += sw & ~s & ~west
-        deg += se & ~s & ~e
-        drop = cand[deg < 2]
+        drop = cand[_reduced(*flat[cand[:, None] + ring].T) < 2]
         flat[drop] = False
         near = (drop[:, None] + ring).ravel()
         cand = np.unique(near[flat[near]])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .edges import EdgeSet, rasterize
 from .morph import EmptyMask, StructuringElement, dilate
-from .raster import BinaryMask, ScalarImage
+from .raster import BinaryMask, ScalarImage, translate
 
 log = logging.getLogger(__name__)
 
@@ -50,17 +50,13 @@ def _overlap_count(edge_bits: np.ndarray, dilated: np.ndarray, dx: int, dy: int)
     )
 
 
-def _masked_variance(pan: np.ndarray, mask_bits: np.ndarray, dx: int, dy: int) -> float:
-    h, w = pan.shape
-    ys0, ys1 = max(0, dy), min(h, h + dy)
-    xs0, xs1 = max(0, dx), min(w, w + dx)
-    if ys0 >= ys1 or xs0 >= xs1:
-        return math.inf
-    window = mask_bits[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
-    values = pan[ys0:ys1, xs0:xs1][window]
+def _masked_variance(pan: np.ndarray, mask: BinaryMask, dx: int, dy: int) -> float:
+    """Variance of `pan` under `mask` translated by (dx, dy); inf when no
+    pixel of the mask stays in the frame."""
+    values = pan[translate(mask, dx, dy).bits]
     if values.size == 0:
         return math.inf
-    return float(np.var(values.astype(np.float64)))
+    return float(np.var(values))
 
 
 def match_mask(
@@ -87,7 +83,7 @@ def match_mask(
         return MatchResult(
             offset=(0, 0),
             score=0,
-            variance=_masked_variance(pan_data, mask.bits, 0, 0),
+            variance=_masked_variance(pan_data, mask, 0, 0),
             tie_count=0,
             warning="empty edge set",
         )
@@ -109,7 +105,7 @@ def match_mask(
     best = None
     best_var = math.inf
     for dy, dx in candidates:  # already in ascending (dy, dx) order
-        v = _masked_variance(pan_data, mask.bits, dx, dy)
+        v = _masked_variance(pan_data, mask, dx, dy)
         if best is None or v < best_var:
             best, best_var = (dx, dy), v
     return MatchResult(offset=best, score=best_score, variance=best_var, tie_count=tie_count)

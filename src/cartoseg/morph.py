@@ -66,9 +66,10 @@ def external_boundary(m: BinaryMask, se: StructuringElement) -> BinaryMask:
     return BinaryMask(dilate(d, _SQUARE1).bits & ~d.bits)
 
 
-def _neighbor_planes(img: np.ndarray):
-    """The eight neighbor views P2..P9 (N, NE, E, SE, S, SW, W, NW)."""
-    p = np.pad(img, 1, constant_values=False)
+def _neighbor_planes(img: np.ndarray, mode: str = "constant"):
+    """The eight neighbor views P2..P9 (N, NE, E, SE, S, SW, W, NW), read past
+    the frame as `np.pad` fills it in `mode`: zero by default, "edge" repeats."""
+    p = np.pad(img, 1, mode=mode)
     return (
         p[:-2, 1:-1],  # N
         p[:-2, 2:],    # NE

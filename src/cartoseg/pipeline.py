@@ -187,17 +187,8 @@ class EvalReport:
     models: dict
     config: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "scenes": self.scenes,
-            "aggregate": self.aggregate,
-            "threshold": self.threshold,
-            "models": self.models,
-            "config": self.config,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         """Category counts per stage and object kind, one table."""

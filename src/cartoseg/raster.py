@@ -139,6 +139,24 @@ def clip_center(img, out_w: int, out_h: int):
     return ScalarImage(window, img.resolution)
 
 
+def _bilinear(src: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """`src` sampled at every (row, column) pair of the positions `sy` and
+    `sx`, each from 0 to its axis's last index, by blending the four
+    surrounding pixels (the last row or column blends with itself)."""
+    y0 = sy.astype(int)
+    x0 = sx.astype(int)
+    y1 = np.minimum(y0 + 1, src.shape[0] - 1)
+    x1 = np.minimum(x0 + 1, src.shape[1] - 1)
+    fy = (sy - y0)[:, None]
+    fx = (sx - x0)[None, :]
+    return (
+        src[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
+        + src[np.ix_(y0, x1)] * (1 - fy) * fx
+        + src[np.ix_(y1, x0)] * fy * (1 - fx)
+        + src[np.ix_(y1, x1)] * fy * fx
+    )
+
+
 def magnify(img, factor: int):
     """Enlarge by an integer factor with pixel-center bilinear interpolation.
 
@@ -152,25 +170,10 @@ def magnify(img, factor: int):
     if factor < 1:
         raise ValueError("factor must be >= 1")
     src = img.data.astype(np.float64)
-    res = img.resolution / factor
-    if factor == 1:
-        return ScalarImage(src.copy(), res * factor)
     h, w = src.shape
     sy = np.clip((np.arange(h * factor) + 0.5) / factor - 0.5, 0.0, h - 1.0)
     sx = np.clip((np.arange(w * factor) + 0.5) / factor - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(sy).astype(int)
-    x0 = np.floor(sx).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (sy - y0)[:, None]
-    fx = (sx - x0)[None, :]
-    out = (
-        src[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + src[np.ix_(y0, x1)] * (1 - fy) * fx
-        + src[np.ix_(y1, x0)] * fy * (1 - fx)
-        + src[np.ix_(y1, x1)] * fy * fx
-    )
-    return ScalarImage(out, res)
+    return ScalarImage(_bilinear(src, sy, sx), img.resolution / factor)
 
 
 def translate(mask: BinaryMask, dx: int, dy: int) -> BinaryMask:
@@ -264,17 +267,18 @@ def read_raster(path, resolution: float | None = None):
 
 
 def _header(magic: bytes, width: int, height: int, resolution: float) -> bytes:
-    return (
-        magic
-        + b"\n# "
-        + f"{_RESOLUTION_TAG}{resolution:g} m/px".encode("ascii")
-        + b"\n"
-        + f"{width} {height}\n255\n".encode("ascii")
-    )
+    # the short `:g` form where it reads back as the same number, else repr
+    res = f"{resolution:g}"
+    if float(res) != resolution:
+        res = repr(resolution)
+    return magic + f"\n# {_RESOLUTION_TAG}{res} m/px\n{width} {height}\n255\n".encode("ascii")
 
 
 def _display_bytes(data: np.ndarray) -> np.ndarray:
-    """Affine min-max normalization to uint8; display-only, not bit-exact."""
+    """uint8 data unchanged; any other data by affine min-max normalization
+    to uint8, which is display-only, not bit-exact."""
+    if data.dtype == np.uint8:
+        return data
     lo = float(data.min())
     hi = float(data.max())
     if hi <= lo:
@@ -285,24 +289,14 @@ def _display_bytes(data: np.ndarray) -> np.ndarray:
 def write_raster(img, path) -> None:
     """Write PGM/PPM. uint8 payloads round-trip bit-exactly; float images
     are min-max normalized for display only."""
-    path = Path(path)
     if isinstance(img, BinaryMask):
-        payload = np.where(img.bits, 255, 0).astype(np.uint8)
-        path.write_bytes(_header(b"P5", img.width, img.height, 1.0) + payload.tobytes())
-        return
-    if isinstance(img, MultiSpectralImage):
-        planes = []
-        for c in img.channels:
-            d = c.data
-            planes.append(d.astype(np.uint8) if d.dtype == np.uint8 else _display_bytes(d))
-        payload = np.stack(planes, axis=-1)
-        path.write_bytes(
-            _header(b"P6", img.width, img.height, img.resolution) + payload.tobytes()
-        )
-        return
-    d = img.data
-    payload = d if d.dtype == np.uint8 else _display_bytes(d)
-    path.write_bytes(_header(b"P5", img.width, img.height, img.resolution) + payload.tobytes())
+        magic, res, payload = b"P5", 1.0, np.where(img.bits, 255, 0).astype(np.uint8)
+    elif isinstance(img, MultiSpectralImage):
+        magic, res = b"P6", img.resolution
+        payload = np.stack([_display_bytes(c.data) for c in img.channels], axis=-1)
+    else:
+        magic, res, payload = b"P5", img.resolution, _display_bytes(img.data)
+    Path(path).write_bytes(_header(magic, img.width, img.height, res) + payload.tobytes())
 
 
 def read_mask(path) -> BinaryMask:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Arg, Primitive, arg_from_json, arg_to_json, build_arg, make_segment
-from .raster import BinaryMask, MultiSpectralImage, ScalarImage, write_raster
+from .raster import BinaryMask, MultiSpectralImage, ScalarImage, _bilinear, write_raster
 
 KINDS = ("bridge", "roundabout")
 
@@ -108,17 +108,7 @@ def _value_noise(rng: np.random.Generator, shape: tuple[int, int], amplitude: fl
     grid = rng.normal(0.0, 1.0, (gh, gw))
     ys = np.arange(shape[0]) / _TEXTURE_CELL
     xs = np.arange(shape[1]) / _TEXTURE_CELL
-    y0 = ys.astype(int)
-    x0 = xs.astype(int)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    g = (
-        grid[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + grid[np.ix_(y0, x0 + 1)] * (1 - fy) * fx
-        + grid[np.ix_(y0 + 1, x0)] * fy * (1 - fx)
-        + grid[np.ix_(y0 + 1, x0 + 1)] * fy * fx
-    )
-    return amplitude * g
+    return amplitude * _bilinear(grid, ys, xs)
 
 
 def _bar(yy: np.ndarray, xx: np.ndarray, cx: float, cy: float, angle: float, width: float) -> np.ndarray:

@@ -209,17 +209,17 @@ def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
     helpers; hysteresis and the per-point loop are independent.
     Returns (points, closed) per chain.
     """
-    from cartoseg.edges import (
-        _SECTOR_STEP, _gaussian_blur, _shifted, _sobel_pair, _trace_chains,
-    )
+    from cartoseg.edges import _SECTOR_STEP, _gaussian_blur, _sobel_pair, _trace_chains
+    from cartoseg.morph import _neighbor_planes
 
     smooth = _gaussian_blur(img.data.astype(np.float64), sigma)
     gx, gy = _sobel_pair(smooth)
     mag = np.hypot(gx, gy)
     sector = (np.round(np.arctan2(gy, gx) / (math.pi / 4.0)).astype(int)) % 4
     keep = np.zeros(mag.shape, dtype=bool)
-    for k, (dy, dx) in _SECTOR_STEP.items():
-        keep |= (sector == k) & (mag >= _shifted(mag, dy, dx)) & (mag > _shifted(mag, -dy, -dx))
+    planes = _neighbor_planes(mag)
+    for k in _SECTOR_STEP:
+        keep |= (sector == k) & (mag >= planes[k + 2]) & (mag > planes[(k + 6) % 8])
     nms = np.where(keep, mag, 0.0)
     nz = mag[mag > 0]
     hi = float(np.percentile(nz, high_percentile)) if nz.size else 0.0
@@ -242,6 +242,27 @@ def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
             pts[i] = (x + delta * dx, y + delta * dy)
         chains.append((pts, closed))
     return chains
+
+
+def pointwise_sobel(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel x and y derivatives pixel by pixel, reading the nearest frame
+    pixel for a neighbor past the border."""
+    h, w = f.shape
+
+    def at(y, x):
+        return f[min(max(y, 0), h - 1), min(max(x, 0), w - 1)]
+
+    gx = np.empty((h, w))
+    gy = np.empty((h, w))
+    for y in range(h):
+        for x in range(w):
+            gx[y, x] = (at(y - 1, x + 1) + 2.0 * at(y, x + 1) + at(y + 1, x + 1)) - (
+                at(y - 1, x - 1) + 2.0 * at(y, x - 1) + at(y + 1, x - 1)
+            )
+            gy[y, x] = (at(y + 1, x - 1) + 2.0 * at(y + 1, x) + at(y + 1, x + 1)) - (
+                at(y - 1, x - 1) + 2.0 * at(y - 1, x) + at(y - 1, x + 1)
+            )
+    return gx, gy
 
 
 def bresenham_rasterize(chains, width: int, height: int) -> np.ndarray:
@@ -279,6 +300,28 @@ def bresenham_rasterize(chains, width: int, height: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # edge refinement
 # ---------------------------------------------------------------------------
+
+
+def loop_smooth_chain(pts: np.ndarray, closed: bool, window: int) -> np.ndarray:
+    """Moving average with one window per point: wrapping on a closed
+    chain, cut at the ends of an open one, whose endpoints stay."""
+    n = len(pts)
+    if window <= 1 or n < 3:
+        return pts.copy()
+    half = window // 2
+    out = pts.copy()
+    if closed:
+        idx = np.arange(n)
+        acc = np.zeros_like(pts)
+        for d in range(-half, half + 1):
+            acc += pts[(idx + d) % n]
+        out = acc / (2 * half + 1)
+    else:
+        for i in range(1, n - 1):
+            lo = max(0, i - half)
+            hi = min(n, i + half + 1)
+            out[i] = pts[lo:hi].mean(axis=0)
+    return out
 
 
 def dense_merge_chains(chains, merge_dist: float) -> list[tuple[np.ndarray, bool]]:
@@ -605,6 +648,26 @@ def random_arg(rng, max_vertices=5, kinds=("rectangle", "circle", "segment")):
                 d = ("E", "NE", "N", "SE")[int(rng.integers(0, 4))]
                 edges.append((a, b, conn, d))
     return Arg(vertices, edges)
+
+
+def pointwise_reduced_degree(bits: np.ndarray) -> np.ndarray:
+    """Per pixel of `bits`: its orthogonal neighbors, plus each diagonal
+    neighbor that shares no set orthogonal neighbor with it."""
+    h, w = bits.shape
+
+    def at(y, x):
+        return 0 <= y < h and 0 <= x < w and bool(bits[y, x])
+
+    deg = np.zeros((h, w), dtype=int)
+    for y in range(h):
+        for x in range(w):
+            if not bits[y, x]:
+                continue
+            deg[y, x] = sum(at(y + dy, x + dx) for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)))
+            for dy, dx in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+                if at(y + dy, x + dx) and not at(y + dy, x) and not at(y, x + dx):
+                    deg[y, x] += 1
+    return deg
 
 
 def pass_two_core(bits: np.ndarray) -> np.ndarray:

@@ -86,13 +86,14 @@ class TestExitCodes:
         [("--edges", "not json"),
          ("--edges", '{"width": 128}'),
          ("--edges", '{"width": 8, "height": 8, "chains": [{"closed": false, "points": [[0, 0]]}]}'),
+         ("--edges", '{"width": 128.7, "height": 128, "chains": []}'),
          ("--arg", '{"vertices": [{"id": 0}], "edges": []}'),
          ("--arg", '{"vertices": [{"id": 0, "kind": "circle"}],'
                    ' "edges": [{"from": 0, "to": 0, "conn": "overlap", "dir": "E"}]}'),
          ("--model", '{"max_csg": 1}'),
          ("--model", "[1, 2]")],
-        ids=["edges-text", "edges-no-chains", "edges-one-point", "arg-no-kind", "arg-self-loop",
-             "model-int-bound", "model-list"],
+        ids=["edges-text", "edges-no-chains", "edges-one-point", "edges-fractional-width",
+             "arg-no-kind", "arg-self-loop", "model-int-bound", "model-list"],
     )
     def test_malformed_json_is_two(self, tmp_path, corpus_dir, flag, text, capsys):
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]

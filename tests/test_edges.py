@@ -10,6 +10,8 @@ from cartoseg.edges import (
     EdgeChain,
     EdgeSet,
     _merge_chains,
+    _smooth_chain,
+    _sobel_pair,
     canny,
     from_json,
     rasterize,
@@ -17,7 +19,13 @@ from cartoseg.edges import (
     to_json,
 )
 from cartoseg.raster import FormatError, ScalarImage
-from oracles import bresenham_rasterize, dense_merge_chains, pointwise_canny
+from oracles import (
+    bresenham_rasterize,
+    dense_merge_chains,
+    loop_smooth_chain,
+    pointwise_canny,
+    pointwise_sobel,
+)
 
 
 def step_image(w=32, h=32, col=16, lo=0, hi=255):
@@ -296,6 +304,28 @@ class TestCannyOracle:
             assert c.points.tobytes() == points.tobytes()
 
 
+class TestSobelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                  elements=st.floats(-1e6, 1e6)))
+    def test_equals_pointwise_replicated_border(self, data):
+        gx, gy = _sobel_pair(data)
+        want_x, want_y = pointwise_sobel(data)
+        assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y)
+
+
+class TestSmoothChainOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: arrays(
+               np.float64, (n, 2), elements=st.floats(-1e9, 1e9))),
+           st.booleans(), st.integers(1, 7))
+    def test_equals_per_point_window(self, pts, closed, window):
+        """Mixed magnitudes make any other order of the additions show."""
+        got = _smooth_chain(EdgeChain(pts, closed), window)
+        assert got.closed == closed
+        assert np.array_equal(got.points, loop_smooth_chain(pts, closed, window))
+
+
 class TestJsonPointBounds:
     @pytest.mark.parametrize(
         "point",
@@ -307,6 +337,10 @@ class TestJsonPointBounds:
                 f'"points": [[1.0, 1.0], [{point}]]}}]}}')
         with pytest.raises(FormatError):
             from_json(text)
+
+    def test_fractional_frame_is_format_error(self):
+        with pytest.raises(FormatError):
+            from_json('{"width": 8.7, "height": 8, "chains": []}')
 
     def test_one_frame_outside_accepted(self):
         es = EdgeSet([chain([(-8, -12), (16, 24)])], 8, 12)

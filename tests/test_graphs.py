@@ -31,6 +31,7 @@ from cartoseg.graphs import (
     model_to_json,
     _label_arcs,
     _mcs_mapping,
+    _reduced_degree,
     _two_core,
 )
 from cartoseg.morph import EmptyMask, skeletonize
@@ -42,6 +43,7 @@ from oracles import (
     can_embed,
     list_mcs_mapping,
     pass_two_core,
+    pointwise_reduced_degree,
     random_arg,
 )
 
@@ -184,6 +186,14 @@ class TestLabelArcsOracle:
         want, want_count = bfs_label_arcs(arcs, arcs | extra)
         assert count == want_count
         assert np.array_equal(labels, want)
+
+
+class TestReducedDegreeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: arrays(bool, shape)))
+    def test_equals_per_pixel_count(self, bits):
+        assert np.array_equal(_reduced_degree(bits), pointwise_reduced_degree(bits))
 
 
 class TestTwoCoreOracle:

@@ -226,6 +226,18 @@ class TestIO:
         with pytest.raises(FormatError, match="resolution"):
             read_raster(p)
 
+    @pytest.mark.parametrize("res, text", [(1.0, "1"), (2.5, "2.5"), (10.0, "10")])
+    def test_header_bytes(self, tmp_path, res, text):
+        p = tmp_path / "h.pgm"
+        write_raster(ScalarImage(np.zeros((2, 3), dtype=np.uint8), res), p)
+        assert p.read_bytes() == f"P5\n# resolution {text} m/px\n3 2\n255\n".encode() + bytes(6)
+
+    def test_resolution_round_trips(self, tmp_path):
+        """Six significant digits would read 2.5 / 3 back as 0.833333."""
+        p = tmp_path / "third.pgm"
+        write_raster(ScalarImage(np.zeros((2, 2), dtype=np.uint8), 2.5 / 3), p)
+        assert read_raster(p).resolution == 2.5 / 3
+
     def test_mask_roundtrip(self, tmp_path):
         m = BinaryMask(np.eye(5, dtype=bool))
         p = tmp_path / "m.pgm"

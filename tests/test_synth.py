@@ -9,14 +9,17 @@ from cartoseg.graphs import decompose
 from cartoseg.raster import read_mask, read_raster, translate
 from cartoseg.spectral import band_combine
 from cartoseg.synth import (
+    _TEXTURE_CELL,
     GroundTruth,
     SceneSpec,
     SpecError,
+    _value_noise,
     corpus_specs,
     generate_scene,
     load_truth,
     write_corpus,
 )
+from oracles import bilinear_at
 
 
 class TestSpecValidation:
@@ -146,6 +149,17 @@ class TestGenerateScene:
 
             grown = dilate(BinaryMask(clutter_px), StructuringElement("square", 2))
             assert not (grown.bits & truth.mask.bits).any()
+
+
+class TestValueNoise:
+    @pytest.mark.parametrize("seed, shape", [(0, (16, 16)), (3, (37, 50)), (9, (65, 17))])
+    def test_equals_bilinear_at_on_its_grid(self, seed, shape):
+        got = _value_noise(np.random.default_rng(seed), shape, 6.0)
+        grid = np.random.default_rng(seed).normal(
+            0.0, 1.0, (shape[0] // _TEXTURE_CELL + 2, shape[1] // _TEXTURE_CELL + 2))
+        want = np.array([[6.0 * bilinear_at(grid, x / _TEXTURE_CELL, y / _TEXTURE_CELL)
+                          for x in range(shape[1])] for y in range(shape[0])])
+        assert np.array_equal(got, want)
 
 
 class TestCorpus:
