@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Extraction quality against scene noise.
+
+For each noise level, renders ``corpus_specs(n, n, seed, noise=level,
+clutter)`` into ``<out>/noise_<level>/corpus``, runs the pipeline on it with
+the default configuration into ``<out>/noise_<level>/results`` (where
+``report.json`` holds every number printed), and prints per stage the
+category counts and the mean and minimum IoU over the scenes that reached
+the stage, then the extract - match gain in mean IoU and one summary line
+per object model.
+
+Examples (the acceptance corpus, then a noise ladder):
+    python scripts/quality.py --n 20 --seed 44 --levels 8 --out runs/acceptance
+    python scripts/quality.py --n 10 --seed 7 --levels 0 16 24 40 --out runs/ladder
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+from cartoseg.pipeline import CATEGORIES, STAGES, PipelineConfig, run_pipeline
+from cartoseg.synth import corpus_specs, write_corpus
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--n", type=int, default=20, help="scenes per object kind and level")
+    ap.add_argument("--seed", type=int, default=44)
+    ap.add_argument("--clutter", type=int, default=2)
+    ap.add_argument("--levels", type=float, nargs="+", default=[8.0], help="noise levels")
+    ap.add_argument("--out", default="runs/quality")
+    args = ap.parse_args(argv)
+
+    for level in args.levels:
+        out = Path(args.out) / f"noise_{level:g}"
+        specs = corpus_specs(args.n, args.n, seed=args.seed, noise=level, clutter=args.clutter)
+        write_corpus(out / "corpus", specs)
+        t0 = time.perf_counter()
+        report = run_pipeline(PipelineConfig(corpus=str(out / "corpus"), out=str(out / "results")))
+        print(f"noise {level:g}: {len(specs)} scenes in {time.perf_counter() - t0:.1f} s")
+        print(f"{'stage':<9}" + "".join(f"{c:>12}" for c in CATEGORIES)
+              + f"{'scored':>8}{'mean IoU':>10}{'min IoU':>10}")
+        means = {}
+        for stage in STAGES:
+            counts = [sum(k[c] for k in report.aggregate[stage].values()) for c in CATEGORIES]
+            ious = [s["stages"][stage]["iou"] for s in report.scenes if stage in s["stages"]]
+            means[stage] = sum(ious) / len(ious) if ious else float("nan")
+            low = min(ious, default=float("nan"))
+            print(f"{stage:<9}" + "".join(f"{c:>12}" for c in counts)
+                  + f"{len(ious):>8}{means[stage]:>10.6f}{low:>10.6f}")
+        print(f"extract - match mean IoU: {means['extract'] - means['match']:+.6f}")
+        for kind, info in report.models.items():
+            if "error" in info:
+                print(f"model[{kind}]: {info['error']}")
+                continue
+            dists = list(info["distances"].values())
+            print(
+                f"model[{kind}]: {info['prototypes']} prototypes, "
+                f"bounds {info['max_csg_size']}/{info['min_csg_size']} vertices, "
+                f"mean training distance {sum(dists) / len(dists):.6f}"
+            )
+        print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .morph import _neighbor_planes
 from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage
-from .spectral import ThresholdPair, _grow8
+from .spectral import _grow8
 
 # quantized gradient sectors -> (dy, dx) step along the gradient; sector k
 # steps to neighbor plane k + 2 (E, SE, S, SW) and back to plane (k + 6) % 8
@@ -144,15 +144,14 @@ def _trace_chains(final: np.ndarray) -> list[tuple[list[tuple[int, int]], bool]]
 def canny(
     img: ScalarImage,
     sigma: float = 1.2,
-    thresholds: ThresholdPair | None = None,
     high_percentile: float = 90.0,
     low_fraction: float = 0.4,
 ) -> EdgeSet:
     """Edge chains with sub-pixel point positions.
 
-    Without explicit thresholds the strong threshold is the given
-    percentile of the nonzero gradient magnitudes and the weak one a fixed
-    fraction of it, which keeps the detector scale-free.  Non-maximum
+    The strong threshold is the given percentile of the nonzero gradient
+    magnitudes and the weak one a fixed fraction of it, which keeps the
+    detector scale-free.  Non-maximum
     suppression breaks magnitude ties toward the pixel on the low side of
     the gradient, so symmetric ridge responses yield a single line.
     """
@@ -170,12 +169,9 @@ def canny(
         keep |= (sector == k) & (mag >= planes[k + 2]) & (mag > planes[(k + 6) % 8])
     nms = np.where(keep, mag, 0.0)
 
-    if thresholds is None:
-        nz = mag[mag > 0]
-        hi = float(np.percentile(nz, high_percentile)) if nz.size else 0.0
-        lo = low_fraction * hi
-    else:
-        hi, lo = thresholds.t_high, thresholds.t_low
+    nz = mag[mag > 0]
+    hi = float(np.percentile(nz, high_percentile)) if nz.size else 0.0
+    lo = low_fraction * hi
     if hi <= 0:
         return EdgeSet([], img.width, img.height)
 

@@ -101,30 +101,31 @@ CIRCLE_ISOPERIMETRIC = 0.85
 _MIN_ARC_PIXELS = 3
 
 
+def _cross(o, a, b) -> float:
+    """Cross product of the vectors o->a and o->b: > 0 for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     lower: list = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
 
 
-def _min_area_rect(points: list[tuple[float, float]]):
-    """Minimum-area oriented box: (center, long, short, orientation)."""
-    hull = _convex_hull(points)
+def _min_area_rect(hull: list[tuple[float, float]]):
+    """Minimum-area oriented box of a convex hull: (center, long, short,
+    orientation)."""
     if len(hull) == 1:
         return hull[0], 0.0, 0.0, 0.0
     if len(hull) == 2:
@@ -155,8 +156,7 @@ def _min_area_rect(points: list[tuple[float, float]]):
     return center, hgt, wdt, _mod_pi(theta + math.pi / 2)
 
 
-def _hull_perimeter(points: list[tuple[float, float]]) -> float:
-    hull = _convex_hull(points)
+def _hull_perimeter(hull: list[tuple[float, float]]) -> float:
     if len(hull) < 2:
         return 0.0
     total = 0.0
@@ -167,20 +167,19 @@ def _hull_perimeter(points: list[tuple[float, float]]) -> float:
     return total
 
 
-def _fit_shape(bits: np.ndarray, resolution: float) -> Primitive:
-    area = float(np.count_nonzero(bits))
-    ys, xs = np.nonzero(bits)
-    pts = [(float(x), float(y)) for y, x in zip(ys, xs)]
+def _fit_shape(ys: np.ndarray, xs: np.ndarray, resolution: float) -> Primitive:
+    area = float(len(ys))
+    hull = _convex_hull([(float(x), float(y)) for y, x in zip(ys, xs)])
     # hull perimeter avoids the staircase excess of traced digital contours;
     # + pi accounts for the half-pixel between centers and the true outline
-    perimeter = _hull_perimeter(pts) + math.pi
+    perimeter = _hull_perimeter(hull) + math.pi
     iso = 4.0 * math.pi * area / (perimeter * perimeter)
     if iso > CIRCLE_ISOPERIMETRIC:
         cx = float(xs.mean()) * resolution
         cy = float(ys.mean()) * resolution
         r = math.sqrt(area / math.pi) * resolution
         return Primitive("circle", (cx, cy), radius=r)
-    center, long_d, short_d, theta = _min_area_rect(pts)
+    center, long_d, short_d, theta = _min_area_rect(hull)
     return Primitive(
         "rectangle",
         (center[0] * resolution, center[1] * resolution),
@@ -188,6 +187,17 @@ def _fit_shape(bits: np.ndarray, resolution: float) -> Primitive:
         height=(short_d + 1.0) * resolution,
         orientation=theta,
     )
+
+
+def _components(labels: np.ndarray, count: int, where: np.ndarray | None = None):
+    """The (ys, xs) of each label 1..count, in row-major order, from one scan
+    of the frame; with `where`, only the labelled pixels where it is True."""
+    ys, xs = np.nonzero(labels if where is None else where & (labels > 0))
+    lab = labels[ys, xs]
+    order = np.argsort(lab, kind="stable")
+    # cut before each label's first pixel, then drop the empty leading piece
+    cuts = np.searchsorted(lab[order], np.arange(1, count + 1))
+    return np.split(np.stack([ys, xs])[:, order], cuts, axis=1)[1:]
 
 
 def _reduced(n, ne, e, se, s, sw, w, nw):
@@ -238,9 +248,7 @@ def _skeleton_primitives(mask: BinaryMask, resolution: float) -> list[Primitive]
 
     core = _two_core(skel)
     if core.any():
-        labels, count = label_components(core, connectivity=8)
-        for lab in range(1, count + 1):
-            ys, xs = np.nonzero(labels == lab)
+        for ys, xs in _components(*label_components(core, connectivity=8)):
             cx, cy = float(xs.mean()), float(ys.mean())
             r = float(np.hypot(ys - cy, xs - cx).mean())
             prims.append(
@@ -252,16 +260,17 @@ def _skeleton_primitives(mask: BinaryMask, resolution: float) -> list[Primitive]
         # split the tree part at branch pixels, keep the resulting arcs
         arcs = rest & (_reduced_degree(rest) < 3)
         labels, count = _label_arcs(arcs, skel)
-        for lab in range(1, count + 1):
-            ys, xs = np.nonzero(labels == lab)
+        # an arc's ends: at most one reduced neighbour in the same arc
+        tips = _reduced(*(p == labels for p in _neighbor_planes(labels))) <= 1
+        for (ys, xs), (ty, tx) in zip(_components(labels, count), _components(labels, count, tips)):
             if len(ys) < _MIN_ARC_PIXELS:
                 continue
-            pix = list(zip(xs.astype(float), ys.astype(float)))
-            ends = _arc_endpoints(labels == lab)
-            if len(ends) != 2:
-                ends = _farthest_pair(pix)
-            p1 = (ends[0][0] * resolution, ends[0][1] * resolution)
-            p2 = (ends[1][0] * resolution, ends[1][1] * resolution)
+            if len(ty) == 2:
+                (x1, y1), (x2, y2) = zip(tx, ty)
+            else:
+                (x1, y1), (x2, y2) = _farthest_pair(np.stack([xs, ys], axis=1).astype(float))
+            p1 = (x1 * resolution, y1 * resolution)
+            p2 = (x2 * resolution, y2 * resolution)
             if p1 != p2:
                 prims.append(make_segment(p1, p2))
     return prims
@@ -282,21 +291,16 @@ def _label_arcs(arcs: np.ndarray, skel: np.ndarray):
     return _label_links(arcs, links)
 
 
-def _arc_endpoints(bits: np.ndarray) -> list[tuple[float, float]]:
-    ys, xs = np.nonzero(bits & (_reduced_degree(bits) <= 1))
-    return [(float(x), float(y)) for y, x in zip(ys, xs)]
+def _farthest_pair(pts: np.ndarray) -> np.ndarray:
+    """The two rows of `pts` farthest apart; among equal distances the first
+    pair (i < j) in (i, j) order.
 
-
-def _farthest_pair(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    best = (pts[0], pts[0])
-    best_d = -1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-            if d > best_d:
-                best_d = d
-                best = (pts[i], pts[j])
-    return list(best)
+    The squared distances are symmetric with a zero diagonal, so the first
+    maximum of the whole matrix in row-major order lies above the diagonal
+    and is that pair.
+    """
+    d = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return pts[list(divmod(int(np.argmax(d)), len(pts)))]
 
 
 def decompose(mask: BinaryMask, mode: str = "shapes", resolution: float = 1.0) -> list[Primitive]:
@@ -314,7 +318,7 @@ def decompose(mask: BinaryMask, mode: str = "shapes", resolution: float = 1.0) -
     if mode not in DECOMPOSE_MODES:
         raise ValueError(f"unknown decompose mode {mode!r}")
     labels, count = label_components(mask.bits, connectivity=8)
-    return [_fit_shape(labels == lab, resolution) for lab in range(1, count + 1)]
+    return [_fit_shape(ys, xs, resolution) for ys, xs in _components(labels, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +361,16 @@ class Arg:
         return {(a, b): (conn, d) for a, b, conn, d in self.edges}
 
 
+def arg_to_doc(g: Arg) -> dict:
+    """The JSON document of a graph, as `arg_to_json` writes it."""
+    return {
+        "vertices": [{"id": i, "kind": k} for i, k in g.vertices],
+        "edges": [{"from": a, "to": b, "conn": c, "dir": d} for a, b, c, d in g.edges],
+    }
+
+
 def arg_to_json(g: Arg) -> str:
-    return json.dumps(
-        {
-            "vertices": [{"id": i, "kind": k} for i, k in g.vertices],
-            "edges": [
-                {"from": a, "to": b, "conn": c, "dir": d} for a, b, c, d in g.edges
-            ],
-        },
-        sort_keys=True,
-    )
+    return json.dumps(arg_to_doc(g), sort_keys=True)
 
 
 def arg_from_json(text: str) -> Arg:
@@ -440,17 +444,10 @@ def _contains(p: Primitive, pt: np.ndarray) -> bool:
 
 
 def _segments_cross(a: Primitive, b: Primitive) -> bool:
-    (x1, y1), (x2, y2) = a.endpoints
-    (x3, y3), (x4, y4) = b.endpoints
-
-    def orient(ax, ay, bx, by, cx, cy):
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    d1 = orient(x3, y3, x4, y4, x1, y1)
-    d2 = orient(x3, y3, x4, y4, x2, y2)
-    d3 = orient(x1, y1, x2, y2, x3, y3)
-    d4 = orient(x1, y1, x2, y2, x4, y4)
-    return d1 * d2 < 0 and d3 * d4 < 0
+    p1, p2 = a.endpoints
+    p3, p4 = b.endpoints
+    return (_cross(p3, p4, p1) * _cross(p3, p4, p2) < 0
+            and _cross(p1, p2, p3) * _cross(p1, p2, p4) < 0)
 
 
 def _interiors_overlap(a: Primitive, b: Primitive, sa: np.ndarray, sb: np.ndarray) -> bool:
@@ -477,7 +474,8 @@ def build_arg(prims: list[Primitive], adjacency_tol: float) -> Arg:
         for j in range(i + 1, len(prims)):
             a, b = prims[i], prims[j]
             diff = samples[i][:, None, :] - samples[j][None, :, :]
-            d = float(np.hypot(diff[..., 0], diff[..., 1]).min())
+            dd = np.hypot(diff[..., 0], diff[..., 1])
+            d = float(dd.min())
             overlap = _interiors_overlap(a, b, samples[i], samples[j])
             if not overlap and d > adjacency_tol:
                 continue
@@ -486,7 +484,6 @@ def build_arg(prims: list[Primitive], adjacency_tol: float) -> Arg:
             else:
                 # classify from the whole contact region: flank contact has
                 # its centroid mid-side even though corners also touch
-                dd = np.hypot(diff[..., 0], diff[..., 1])
                 contact = dd <= d + 0.25 * adjacency_tol
                 ia, ib = np.nonzero(contact)
                 pa = samples[i][ia].mean(axis=0)
@@ -590,17 +587,9 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
 
 
 def _induced_subgraph(g: Arg, keep: list[int]) -> Arg:
-    keep = sorted(keep)
-    remap = {v: i for i, v in enumerate(keep)}
-    verts = [(remap[v], g.kind(v)) for v in keep]
-    attrs = g.edge_attrs()
-    edges = []
-    for x in range(len(keep)):
-        for y in range(x + 1, len(keep)):
-            at = attrs.get((keep[x], keep[y]))
-            if at is not None:
-                edges.append((x, y, at[0], at[1]))
-    return Arg(verts, edges)
+    remap = {v: i for i, v in enumerate(sorted(keep))}
+    edges = [(remap[a], remap[b], c, d) for a, b, c, d in g.edges if a in remap and b in remap]
+    return Arg([(i, g.kind(v)) for v, i in remap.items()], sorted(edges))
 
 
 def max_common_subgraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> Arg:
@@ -614,27 +603,14 @@ def min_common_supergraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDG
 
     |result| = |g1| + |g2| - |MaxCS|; both inputs embed in the result.
     """
-    mapping = _mcs_mapping(g1, g2, node_budget)
-    to_g1 = {b: a for a, b in mapping}
-    translate = {}
-    next_id = g1.size
-    for b in range(g2.size):
-        if b in to_g1:
-            translate[b] = to_g1[b]
-        else:
-            translate[b] = next_id
-            next_id += 1
-    verts = list(g1.vertices) + [
-        (translate[b], g2.kind(b)) for b in range(g2.size) if b not in to_g1
-    ]
-    edges = {(a, b): at for (a, b), at in g1.edge_attrs().items()}
-    for (u, v), at in g2.edge_attrs().items():
-        a, b = translate[u], translate[v]
-        key = (a, b) if a < b else (b, a)
-        if key not in edges:
-            edges[key] = at
-    edge_list = [(a, b, at[0], at[1]) for (a, b), at in sorted(edges.items())]
-    return Arg(verts, edge_list)
+    translate = {b: a for a, b in _mcs_mapping(g1, g2, node_budget)}  # g2 -> result
+    extra = [b for b in range(g2.size) if b not in translate]
+    translate.update((b, g1.size + k) for k, b in enumerate(extra))
+    edges = g1.edge_attrs()
+    for u, v, conn, d in g2.edges:
+        edges.setdefault(tuple(sorted((translate[u], translate[v]))), (conn, d))
+    verts = g1.vertices + [(translate[b], g2.kind(b)) for b in extra]
+    return Arg(verts, [(a, b, *at) for (a, b), at in sorted(edges.items())])
 
 
 def is_isomorphic(g1: Arg, g2: Arg) -> bool:
@@ -684,10 +660,8 @@ def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
                 break
         else:
             groups.append((g, 1))
-    ranked = sorted(
-        range(len(groups)), key=lambda i: (-groups[i][1], i)
-    )
-    return [groups[i][0] for i in ranked if groups[i][1] >= min_support]
+    ranked = sorted(groups, key=lambda group: -group[1])  # stable: ties keep first appearance
+    return [rep for rep, count in ranked if count >= min_support]
 
 
 @dataclass(eq=False)
@@ -708,8 +682,7 @@ def generate_model(prototypes: list[Arg], node_budget: int = DEFAULT_NODE_BUDGET
     """
     if not prototypes:
         raise EmptyInput("a model needs at least one prototype")
-    lo = prototypes[0]
-    hi = prototypes[0]
+    lo = hi = prototypes[0]
     for p in prototypes[1:]:
         lo = max_common_subgraph(lo, p, node_budget)
         hi = min_common_supergraph(hi, p, node_budget)
@@ -741,9 +714,9 @@ def model_distance(
 def model_to_json(model: ObjectModel) -> str:
     return json.dumps(
         {
-            "max_csg": json.loads(arg_to_json(model.max_csg)),
-            "min_csg": json.loads(arg_to_json(model.min_csg)),
-            "prototypes": [json.loads(arg_to_json(p)) for p in model.prototypes],
+            "max_csg": arg_to_doc(model.max_csg),
+            "min_csg": arg_to_doc(model.min_csg),
+            "prototypes": [arg_to_doc(p) for p in model.prototypes],
         },
         sort_keys=True,
     )

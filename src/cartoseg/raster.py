@@ -45,8 +45,8 @@ class ScalarImage:
         self.data = np.asarray(self.data)
         if self.data.ndim != 2 or self.data.size == 0:
             raise ValueError("image data must be a non-empty 2-D array")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:  # False on NaN too
+            raise ValueError("resolution must be finite and positive")
         self.resolution = float(self.resolution)
         self.data = _locked(self.data)
 

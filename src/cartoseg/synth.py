@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Arg, Primitive, arg_from_json, arg_to_json, build_arg, make_segment
+from .graphs import Arg, Primitive, arg_from_json, arg_to_doc, build_arg, make_segment
 from .raster import BinaryMask, MultiSpectralImage, ScalarImage, _bilinear, write_raster
 
 KINDS = ("bridge", "roundabout")
@@ -323,7 +323,7 @@ def write_corpus(out_dir, specs: list[SceneSpec]) -> dict:
                     "kind": spec.kind,
                     "offset": list(truth.offset),
                     "seed": spec.seed,
-                    "arg": json.loads(arg_to_json(truth.arg)),
+                    "arg": arg_to_doc(truth.arg),
                 },
                 sort_keys=True,
             )

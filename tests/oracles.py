@@ -8,6 +8,7 @@ vectorized / branch-and-bound implementations under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -747,3 +748,226 @@ def list_mcs_mapping(g1, g2, node_budget: int):
 
     extend([], list(range(n)))
     return [pairs[i] for i in best], nodes
+
+
+def _loop_convex_hull(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _loop_min_area_rect(points):
+    from cartoseg.graphs import _mod_pi
+
+    hull = _loop_convex_hull(points)
+    if len(hull) == 1:
+        return hull[0], 0.0, 0.0, 0.0
+    if len(hull) == 2:
+        (x1, y1), (x2, y2) = hull
+        theta = _mod_pi(math.atan2(y2 - y1, x2 - x1))
+        return ((x1 + x2) / 2, (y1 + y2) / 2), math.hypot(x2 - x1, y2 - y1), 0.0, theta
+    arr = np.array(hull, dtype=np.float64)
+    best = None
+    for i in range(len(hull)):
+        x1, y1 = hull[i]
+        x2, y2 = hull[(i + 1) % len(hull)]
+        theta = math.atan2(y2 - y1, x2 - x1)
+        c, s = math.cos(-theta), math.sin(-theta)
+        rx = arr[:, 0] * c - arr[:, 1] * s
+        ry = arr[:, 0] * s + arr[:, 1] * c
+        wdt = float(rx.max() - rx.min())
+        hgt = float(ry.max() - ry.min())
+        area = wdt * hgt
+        if best is None or area < best[0]:
+            mx = (float(rx.max()) + float(rx.min())) / 2
+            my = (float(ry.max()) + float(ry.min())) / 2
+            cx = mx * math.cos(theta) - my * math.sin(theta)
+            cy = mx * math.sin(theta) + my * math.cos(theta)
+            best = (area, (cx, cy), wdt, hgt, theta)
+    _, center, wdt, hgt, theta = best
+    if wdt >= hgt:
+        return center, wdt, hgt, _mod_pi(theta)
+    return center, hgt, wdt, _mod_pi(theta + math.pi / 2)
+
+
+def _loop_hull_perimeter(points) -> float:
+    hull = _loop_convex_hull(points)
+    if len(hull) < 2:
+        return 0.0
+    total = 0.0
+    for i in range(len(hull)):
+        x1, y1 = hull[i]
+        x2, y2 = hull[(i + 1) % len(hull)]
+        total += math.hypot(x2 - x1, y2 - y1)
+    return total
+
+
+def _loop_fit_shape(bits: np.ndarray, resolution: float):
+    from cartoseg.graphs import CIRCLE_ISOPERIMETRIC, Primitive
+
+    area = float(np.count_nonzero(bits))
+    ys, xs = np.nonzero(bits)
+    pts = [(float(x), float(y)) for y, x in zip(ys, xs)]
+    perimeter = _loop_hull_perimeter(pts) + math.pi
+    iso = 4.0 * math.pi * area / (perimeter * perimeter)
+    if iso > CIRCLE_ISOPERIMETRIC:
+        cx = float(xs.mean()) * resolution
+        cy = float(ys.mean()) * resolution
+        r = math.sqrt(area / math.pi) * resolution
+        return Primitive("circle", (cx, cy), radius=r)
+    center, long_d, short_d, theta = _loop_min_area_rect(pts)
+    return Primitive(
+        "rectangle",
+        (center[0] * resolution, center[1] * resolution),
+        width=(long_d + 1.0) * resolution,
+        height=(short_d + 1.0) * resolution,
+        orientation=theta,
+    )
+
+
+def _loop_arc_endpoints(bits: np.ndarray):
+    from cartoseg.graphs import _reduced_degree
+
+    ys, xs = np.nonzero(bits & (_reduced_degree(bits) <= 1))
+    return [(float(x), float(y)) for y, x in zip(ys, xs)]
+
+
+def loop_farthest_pair(pts):
+    """The first pair (i < j) at the largest distance, by a double loop."""
+    best = (pts[0], pts[0])
+    best_d = -1.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
+            if d > best_d:
+                best_d = d
+                best = (pts[i], pts[j])
+    return list(best)
+
+
+def _loop_skeleton_primitives(mask, resolution: float):
+    from cartoseg.graphs import _MIN_ARC_PIXELS, Primitive, _label_arcs, _reduced_degree, _two_core, make_segment
+    from cartoseg.morph import label_components, skeletonize
+
+    skel = skeletonize(mask).bits
+    prims = []
+    core = _two_core(skel)
+    if core.any():
+        labels, count = label_components(core, connectivity=8)
+        for lab in range(1, count + 1):
+            ys, xs = np.nonzero(labels == lab)
+            cx, cy = float(xs.mean()), float(ys.mean())
+            r = float(np.hypot(ys - cy, xs - cx).mean())
+            prims.append(
+                Primitive("circle", (cx * resolution, cy * resolution), radius=r * resolution)
+            )
+    rest = skel & ~core
+    if rest.any():
+        arcs = rest & (_reduced_degree(rest) < 3)
+        labels, count = _label_arcs(arcs, skel)
+        for lab in range(1, count + 1):
+            ys, xs = np.nonzero(labels == lab)
+            if len(ys) < _MIN_ARC_PIXELS:
+                continue
+            pix = list(zip(xs.astype(float), ys.astype(float)))
+            ends = _loop_arc_endpoints(labels == lab)
+            if len(ends) != 2:
+                ends = loop_farthest_pair(pix)
+            p1 = (ends[0][0] * resolution, ends[0][1] * resolution)
+            p2 = (ends[1][0] * resolution, ends[1][1] * resolution)
+            if p1 != p2:
+                prims.append(make_segment(p1, p2))
+    return prims
+
+
+def loop_decompose(mask, mode: str, resolution: float):
+    """`decompose` with one full-frame `labels == lab` scan per component,
+    a convex hull per use, and arc ends from each arc's own reduced degree."""
+    from cartoseg.morph import label_components
+
+    if mode == "skeleton":
+        return _loop_skeleton_primitives(mask, resolution)
+    labels, count = label_components(mask.bits, connectivity=8)
+    return [_loop_fit_shape(labels == lab, resolution) for lab in range(1, count + 1)]
+
+
+def old_arg_to_json(g) -> str:
+    return json.dumps(
+        {
+            "vertices": [{"id": i, "kind": k} for i, k in g.vertices],
+            "edges": [
+                {"from": a, "to": b, "conn": c, "dir": d} for a, b, c, d in g.edges
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+def roundtrip_model_to_json(model) -> str:
+    """The model document built by parsing each graph's JSON text back."""
+    return json.dumps(
+        {
+            "max_csg": json.loads(old_arg_to_json(model.max_csg)),
+            "min_csg": json.loads(old_arg_to_json(model.min_csg)),
+            "prototypes": [json.loads(old_arg_to_json(p)) for p in model.prototypes],
+        },
+        sort_keys=True,
+    )
+
+
+def probe_induced_subgraph(g, keep):
+    """Induced subgraph on `keep`, probing every kept pair for an edge."""
+    from cartoseg.graphs import Arg
+
+    keep = sorted(keep)
+    remap = {v: i for i, v in enumerate(keep)}
+    verts = [(remap[v], g.kind(v)) for v in keep]
+    attrs = g.edge_attrs()
+    edges = []
+    for x in range(len(keep)):
+        for y in range(x + 1, len(keep)):
+            at = attrs.get((keep[x], keep[y]))
+            if at is not None:
+                edges.append((x, y, at[0], at[1]))
+    return Arg(verts, edges)
+
+
+def glue_supergraph(g1, g2, mapping):
+    """g1 and g2 glued along a common-subgraph mapping [(v1, v2), ...]."""
+    from cartoseg.graphs import Arg
+
+    to_g1 = {b: a for a, b in mapping}
+    translate = {}
+    next_id = g1.size
+    for b in range(g2.size):
+        if b in to_g1:
+            translate[b] = to_g1[b]
+        else:
+            translate[b] = next_id
+            next_id += 1
+    verts = list(g1.vertices) + [
+        (translate[b], g2.kind(b)) for b in range(g2.size) if b not in to_g1
+    ]
+    edges = {(a, b): at for (a, b), at in g1.edge_attrs().items()}
+    for (u, v), at in g2.edge_attrs().items():
+        a, b = translate[u], translate[v]
+        key = (a, b) if a < b else (b, a)
+        if key not in edges:
+            edges[key] = at
+    edge_list = [(a, b, at[0], at[1]) for (a, b), at in sorted(edges.items())]
+    return Arg(verts, edge_list)

@@ -92,12 +92,6 @@ class TestCanny:
             for x, y in c.points:
                 assert mag[int(round(y)), int(round(x))] >= low - 1e-9
 
-    def test_explicit_thresholds(self):
-        from cartoseg.spectral import ThresholdPair
-
-        es = canny(step_image(), thresholds=ThresholdPair(1e9, 1e9))
-        assert es.chains == []
-
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             canny(step_image(), sigma=0.0)

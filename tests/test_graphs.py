@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from cartoseg import edges
 from cartoseg.graphs import (
     CONNECTION_KINDS,
+    DECOMPOSE_MODES,
     DIRECTION_BINS,
     Arg,
     BudgetExceeded,
@@ -29,6 +30,7 @@ from cartoseg.graphs import (
     model_distance,
     model_from_json,
     model_to_json,
+    _farthest_pair,
     _label_arcs,
     _mcs_mapping,
     _reduced_degree,
@@ -41,10 +43,16 @@ from oracles import (
     brute_isomorphic,
     brute_mcs_size,
     can_embed,
+    glue_supergraph,
     list_mcs_mapping,
+    loop_decompose,
+    loop_farthest_pair,
+    old_arg_to_json,
     pass_two_core,
     pointwise_reduced_degree,
+    probe_induced_subgraph,
     random_arg,
+    roundtrip_model_to_json,
 )
 
 EE = ("end-to-end", "E")
@@ -173,6 +181,47 @@ class TestDecomposeSkeleton:
         assert len(circles) == 1
         assert circles[0].radius == pytest.approx(14.0, abs=1.5)  # ring centerline
         assert len(segs) == 4
+
+
+@st.composite
+def decompose_masks(draw):
+    """Masks up to 24x24: pixel noise or unions of disks and oriented bars,
+    as drawn or thinned, which gives arcs with every number of ends."""
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    if draw(st.booleans()):
+        bits = draw(arrays(bool, shape, fill=st.nothing()))  # every pixel drawn
+    else:
+        bits = np.zeros(shape, dtype=bool)
+        pos = st.floats(0, 24)
+        for bar, cy, cx, angle, size, width in draw(st.lists(st.tuples(
+                st.booleans(), pos, pos, st.floats(0, math.pi), st.floats(1, 16), st.floats(1, 5)),
+                min_size=1, max_size=4)):
+            bits |= (render_bar(shape, cy, cx, angle, size, width) if bar
+                     else render_disk(shape, cy, cx, size / 2))
+    if draw(st.booleans()) and bits.any():
+        bits = skeletonize(BinaryMask(bits)).bits
+    return bits
+
+
+class TestDecomposeOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(decompose_masks(), st.sampled_from(DECOMPOSE_MODES), st.sampled_from((1.0, 2.5)))
+    def test_equals_per_label_loops(self, bits, mode, resolution):
+        """One pass over each component gives the primitives, in the order,
+        that one full-frame scan per label gave."""
+        if not bits.any():
+            return
+        mask = BinaryMask(bits)
+        assert decompose(mask, mode, resolution) == loop_decompose(mask, mode, resolution)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=40,
+                    unique=True))
+    def test_farthest_pair_equals_loop(self, pts):
+        """Integer points repeat distances, so the first-pair tie rule shows."""
+        got = _farthest_pair(np.array(pts, dtype=float))
+        assert [tuple(p) for p in got.tolist()] == loop_farthest_pair(
+            [(float(x), float(y)) for x, y in pts])
 
 
 class TestLabelArcsOracle:
@@ -317,6 +366,26 @@ class TestMcsOracle:
                     _mcs_mapping(g1, g2, budget)
             else:
                 assert _mcs_mapping(g1, g2, budget) == want
+
+
+class TestGraphAssemblyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(small_args(6), small_args(6), st.data())
+    def test_sub_and_supergraph_equal_old_assembly(self, g1, g2, data):
+        """Edge lists in any order, as a parsed document may hold them."""
+        g1 = Arg(g1.vertices, data.draw(st.permutations(g1.edges)))
+        g2 = Arg(g2.vertices, data.draw(st.permutations(g2.edges)))
+        mapping = _mcs_mapping(g1, g2)
+        assert arg_to_json(max_common_subgraph(g1, g2)) == old_arg_to_json(
+            probe_induced_subgraph(g1, [a for a, _ in mapping]))
+        assert arg_to_json(min_common_supergraph(g1, g2)) == old_arg_to_json(
+            glue_supergraph(g1, g2, mapping))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_args(5), min_size=1, max_size=4))
+    def test_model_json_equals_round_trip(self, prototypes):
+        model = generate_model(prototypes)
+        assert model_to_json(model) == roundtrip_model_to_json(model)
 
 
 class TestMinCommonSupergraph:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +233,17 @@ class TestIO:
         p = tmp_path / "h.pgm"
         write_raster(ScalarImage(np.zeros((2, 3), dtype=np.uint8), res), p)
         assert p.read_bytes() == f"P5\n# resolution {text} m/px\n3 2\n255\n".encode() + bytes(6)
+
+    @pytest.mark.parametrize("res", [math.inf, math.nan])
+    def test_resolution_not_finite_rejected(self, res):
+        """Such an image would write a header its own reader rejects."""
+        with pytest.raises(ValueError, match="finite"):
+            ScalarImage(np.zeros((2, 2), dtype=np.uint8), res)
+
+    def test_resolution_2_5_round_trips(self, tmp_path):
+        p = tmp_path / "pan.pgm"
+        write_raster(ScalarImage(np.zeros((2, 2), dtype=np.uint8), 2.5), p)
+        assert read_raster(p).resolution == 2.5
 
     def test_resolution_round_trips(self, tmp_path):
         """Six significant digits would read 2.5 / 3 back as 0.833333."""
