@@ -19,6 +19,23 @@ Flooding semantics, fixed for reproducibility:
   earliest entry and every other touch so far is pending at that value.
   One heap entry per pixel therefore suffices, with the first basin to
   touch it and a flag for any other.
+
+Only contested pixels enter the heap.  The unmarked pixels split into
+4-connected components; a component whose 4-neighbouring marker pixels
+all carry one label is settled and takes that label outright, the others
+are contested and flood.  This gives the same labels as flooding the
+whole frame, for any markers:
+
+* settled and contested pixels are never 4-adjacent, and markers never
+  change, so no pop in one component pushes a pixel of another;
+* the pops of a contested component therefore come in the same relative
+  (relief value, insertion sequence) order as in a whole-frame flood;
+* a settled component is only ever touched by its one label, so none of
+  its pixels becomes a watershed-line pixel.
+
+The pipeline's background marker is the outer rim of the dilated mask, so
+a component outside it borders that marker alone unless the frame cuts
+the rim into pieces.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edges import EdgeSet, _sobel_pair, rasterize
-from .morph import label_components
+from .morph import _neighbor_planes, label_components
 from .raster import BinaryMask, ScalarImage
 
 log = logging.getLogger(__name__)
@@ -159,16 +176,18 @@ def label_marker_components(markers: MarkerSet):
 def watershed_flood(relief: ScalarImage, markers: MarkerSet) -> LabelImage:
     """Marker-seeded immersion of the relief (see module docstring).
 
-    Every pixel enters the heap once: a marker pixel at the start, any
-    other pixel at its first touch.  The state lives in flat lists over the
-    frame padded by one non-zero sentinel pixel, so the N, W, E, S
-    neighbours of flat index i are i - W, i - 1, i + 1, i + W with no bounds
-    test.  A heap key is ``(rank << 32) | seq``, where ``rank - 1`` is the
-    index of the pixel's value among the relief's sorted distinct values,
-    so keys order by (relief value, insertion sequence); ``order[seq]`` is
-    the pixel, and ``seq`` stays below 2**32 because it counts pixels.
-    Raises ValueError on NaN relief, which has no rank; +-inf ranks like
-    any other value.
+    Settled components take their one label before the flood; a contested
+    pixel enters the heap at its first touch, and the heap starts from the
+    marker pixels 4-adjacent to a contested pixel, in row-major order.  The
+    state lives in flat lists over the frame padded by one non-zero
+    sentinel pixel, so the N, W, E, S neighbours of flat index i are
+    i - W, i - 1, i + 1, i + W with no bounds test.  A heap key is
+    ``(rank << 32) | seq``, where ``rank - 1`` is the index of the pixel's
+    value among the contested pixels' sorted distinct values, so keys order
+    by (relief value, insertion sequence); ``order[seq]`` is the pixel, and
+    ``seq`` stays below 2**32 because it counts pixels.  Raises ValueError
+    on NaN anywhere in the relief, which has no rank; +-inf ranks like any
+    other value.
     """
     data = relief.data.astype(np.float64)
     h, w = data.shape
@@ -177,15 +196,26 @@ def watershed_flood(relief: ScalarImage, markers: MarkerSet) -> LabelImage:
     if np.isnan(data).any():
         raise ValueError("relief must not contain NaN")
     marker_labels, _ = label_marker_components(markers)
+    free, n_free = label_components(marker_labels == 0, connectivity=4)
+    # least and greatest marker label 4-adjacent to each free component
+    lo = np.full(n_free + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    hi = np.zeros(n_free + 1, dtype=np.int32)
+    for plane in _neighbor_planes(marker_labels)[::2]:  # N, E, S, W
+        at = (free > 0) & (plane > 0)
+        np.minimum.at(lo, free[at], plane[at])
+        np.maximum.at(hi, free[at], plane[at])
+    settled = np.where(lo == hi, hi, 0)  # index 0, the marker pixels, has lo > hi: adds 0
+    contested = (lo < hi)[free]
     W = w + 2
-    labels = np.pad(marker_labels, 1, constant_values=WSHED).ravel().tolist()
+    labels = np.pad(marker_labels + settled[free], 1, constant_values=WSHED).ravel().tolist()
     first = labels.copy()  # basin of the first touch (a marker's own); 0 = untouched
     mixed = [False] * len(labels)  # touched by a second basin as well
-    _, rank = np.unique(data.ravel(), return_inverse=True)
-    base = np.pad((rank.reshape(h, w).astype(np.int64) + 1) << 32, 1).ravel().tolist()
-    # Markers hold rank 0, below every relief value, so they settle first
-    # and in row-major order; a sorted list is already a heap.
-    ys, xs = np.nonzero(marker_labels)
+    rank = np.zeros((h, w), dtype=np.int64)
+    rank[contested] = np.unique(data[contested], return_inverse=True)[1] + 1
+    base = np.pad(rank << 32, 1).ravel().tolist()
+    # Markers hold rank 0, below every relief value, so they pop first and
+    # in row-major order; a sorted list is already a heap.
+    ys, xs = np.nonzero((marker_labels > 0) & np.logical_or.reduce(_neighbor_planes(contested)[::2]))
     order = ((ys + 1) * W + xs + 1).tolist()
     heap = list(range(len(order)))
     push, pop, enter = heapq.heappush, heapq.heappop, order.append

@@ -522,6 +522,53 @@ def naive_watershed(relief: np.ndarray, obj: np.ndarray, bg: np.ndarray):
     return labels, object_ids
 
 
+def heap_watershed_flood(relief, markers):
+    """`watershed.watershed_flood` as it was before settled components:
+    every pixel of the frame enters the heap, a marker pixel at the start
+    and any other pixel at its first touch."""
+    import heapq
+
+    from cartoseg.watershed import WSHED, LabelImage, label_marker_components
+
+    data = relief.data.astype(np.float64)
+    h, w = data.shape
+    if (h, w) != markers.object_marker.bits.shape:
+        raise ValueError("relief and markers must share dimensions")
+    if np.isnan(data).any():
+        raise ValueError("relief must not contain NaN")
+    marker_labels, _ = label_marker_components(markers)
+    W = w + 2
+    labels = np.pad(marker_labels, 1, constant_values=WSHED).ravel().tolist()
+    first = labels.copy()  # basin of the first touch (a marker's own); 0 = untouched
+    mixed = [False] * len(labels)  # touched by a second basin as well
+    _, rank = np.unique(data.ravel(), return_inverse=True)
+    base = np.pad((rank.reshape(h, w).astype(np.int64) + 1) << 32, 1).ravel().tolist()
+    # Markers hold rank 0, below every relief value, so they settle first
+    # and in row-major order; a sorted list is already a heap.
+    ys, xs = np.nonzero(marker_labels)
+    order = ((ys + 1) * W + xs + 1).tolist()
+    heap = list(range(len(order)))
+    push, pop, enter = heapq.heappush, heapq.heappop, order.append
+
+    while heap:
+        i = order[pop(heap) & 0xFFFFFFFF]
+        if mixed[i]:
+            labels[i] = WSHED
+            continue
+        lab = labels[i] = first[i]
+        for j in (i - W, i - 1, i + 1, i + W):
+            if labels[j] == 0:
+                if not first[j]:
+                    first[j] = lab
+                    push(heap, base[j] | len(order))
+                    enter(j)
+                elif first[j] != lab:
+                    mixed[j] = True
+
+    out = np.array(labels, dtype=np.int32).reshape(h + 2, W)[1:-1, 1:-1]
+    return LabelImage(np.ascontiguousarray(out))
+
+
 def regional_minima(data: np.ndarray) -> list[frozenset]:
     """8-connected constant plateaus whose outer neighbors are all greater."""
     h, w = data.shape

@@ -227,7 +227,8 @@ class TestDecomposeOracle:
 class TestLabelArcsOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
-        lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape))))
+        lambda shape: st.tuples(arrays(bool, shape, fill=st.nothing()),
+                                arrays(bool, shape, fill=st.nothing()))))
     def test_equals_bfs(self, masks):
         """Skeleton pixels off the arcs cut the diagonal steps they flank."""
         arcs, extra = masks
@@ -240,7 +241,7 @@ class TestLabelArcsOracle:
 class TestReducedDegreeOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
-        lambda shape: arrays(bool, shape)))
+        lambda shape: arrays(bool, shape, fill=st.nothing())))
     def test_equals_per_pixel_count(self, bits):
         assert np.array_equal(_reduced_degree(bits), pointwise_reduced_degree(bits))
 
@@ -248,7 +249,7 @@ class TestReducedDegreeOracle:
 class TestTwoCoreOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
-        lambda shape: arrays(bool, shape)), st.booleans())
+        lambda shape: arrays(bool, shape, fill=st.nothing())), st.booleans())
     def test_equals_pass_loop(self, bits, thin):
         """Random frames, and thinned ones, which peel one pixel per arm end
         and pass."""

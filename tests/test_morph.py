@@ -21,7 +21,7 @@ from oracles import (
     square_offsets,
 )
 
-mask16 = arrays(bool, (16, 16))
+mask16 = arrays(bool, (16, 16), fill=st.nothing())  # every pixel drawn
 
 
 def put(shape, coords):
@@ -213,7 +213,7 @@ class TestLabelComponents:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 12))),
+        arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 12)), fill=st.nothing()),
         st.sampled_from([4, 8]),
     )
     def test_equals_bfs_oracle(self, bits, connectivity):

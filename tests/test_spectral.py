@@ -129,7 +129,8 @@ class TestHysteresis:
         assert np.array_equal(out.bits, bfs_hysteresis(data, t.t_high, t.t_low))
 
     @settings(max_examples=300, deadline=None)
-    @given(_frames.flatmap(lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape))))
+    @given(_frames.flatmap(lambda shape: st.tuples(arrays(bool, shape, fill=st.nothing()),
+                                                      arrays(bool, shape, fill=st.nothing()))))
     def test_grow8_equals_bfs_with_seeds_outside_allowed(self, masks):
         seeds, allowed = masks
         assert np.array_equal(_grow8(seeds, allowed), bfs_grow8(seeds, allowed))
@@ -181,7 +182,7 @@ class TestKeepCentralComponent:
         assert keep_central_component(m).is_empty()
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(bool, _frames), st.integers(1, 7))
+    @given(arrays(bool, _frames, fill=st.nothing()), st.integers(1, 7))
     def test_equals_per_label_loop(self, bits, window):
         got = keep_central_component(BinaryMask(bits), window).bits
         assert np.array_equal(got, loop_keep_central(bits, window))

@@ -7,10 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cartoseg
+from cartoseg import watershed
 from cartoseg.edges import EdgeChain, EdgeSet, rasterize
-from cartoseg.raster import BinaryMask, ScalarImage
+from cartoseg.morph import StructuringElement, external_boundary
+from cartoseg.pipeline import (
+    PipelineConfig,
+    clip_ms,
+    detect_edges,
+    place_mask,
+    segment_scene,
+    skeleton_marker,
+)
+from cartoseg.raster import BinaryMask, ScalarImage, translate
+from cartoseg.spectral import corpus_mode_threshold
+from cartoseg.synth import KINDS, SceneSpec, generate_scene
 from cartoseg.watershed import (
     WSHED,
     EmptyMarker,
@@ -24,7 +37,7 @@ from cartoseg.watershed import (
     label_marker_components,
     watershed_flood,
 )
-from oracles import erode8_impose_minima, naive_watershed, regional_minima
+from oracles import erode8_impose_minima, heap_watershed_flood, naive_watershed, regional_minima
 
 
 def mask_at(shape, coords):
@@ -230,6 +243,69 @@ class TestWatershedFlood:
         with pytest.raises(ValueError):
             watershed_flood(ScalarImage(data), markers)
 
+    def test_nan_in_settled_component_rejected(self):
+        """The centre pixel, enclosed by the object ring, never floods."""
+        data = np.zeros((5, 5))
+        data[2, 2] = np.nan
+        ring = [(y, x) for y in (1, 2, 3) for x in (1, 2, 3) if (y, x) != (2, 2)]
+        markers = MarkerSet(mask_at((5, 5), ring), mask_at((5, 5), [(4, 4)]))
+        with pytest.raises(ValueError):
+            watershed_flood(ScalarImage(data), markers)
+
+    def test_all_settled_runs_no_heap(self, monkeypatch):
+        """Two adjacent marker walls split the frame into two components,
+        each touching one wall only: both take its label, with no heap."""
+        rng = np.random.default_rng(11)
+        relief = ScalarImage(rng.integers(0, 4, (6, 9)).astype(np.float64))
+        markers = MarkerSet(mask_at((6, 9), [(y, 3) for y in range(6)]),
+                            mask_at((6, 9), [(y, 4) for y in range(6)]))
+        want = heap_watershed_flood(relief, markers).labels
+
+        def no_heap(*args):
+            raise AssertionError("the heap ran")
+
+        monkeypatch.setattr(watershed.heapq, "heappush", no_heap)
+        monkeypatch.setattr(watershed.heapq, "heappop", no_heap)
+        got = watershed_flood(relief, markers).labels
+        assert np.array_equal(got, want)
+        assert (got[:, :4] == 1).all() and (got[:, 4:] == 2).all()
+
+    def test_only_contested_pixels_enter_the_heap(self, monkeypatch):
+        """The corner pixel is enclosed by the object marker alone and touches
+        the contested rest only diagonally: it is settled, and each of the
+        other 12 unmarked pixels is pushed once."""
+        relief = ScalarImage(np.zeros((4, 4)))
+        markers = MarkerSet(mask_at((4, 4), [(0, 1), (1, 0)]), mask_at((4, 4), [(3, 3)]))
+        want = heap_watershed_flood(relief, markers).labels
+        pushed = []
+        push = watershed.heapq.heappush
+
+        def counted_push(heap, key):
+            pushed.append(key)
+            push(heap, key)
+
+        monkeypatch.setattr(watershed.heapq, "heappush", counted_push)
+        got = watershed_flood(relief, markers).labels
+        assert np.array_equal(got, want)
+        assert got[0, 0] == 1 and len(pushed) == 12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rendered_scene_equals_whole_frame_heap(self, kind):
+        """A synth scene carried through segmentation, edges, placement and
+        markers to the imposed relief, as the pipeline floods it."""
+        cfg = PipelineConfig()
+        pan, ms, _ = generate_scene(SceneSpec(kind=kind, seed=44, noise=8.0, clutter=2, offset=(3, -2)))
+        t = corpus_mode_threshold([clip_ms(pan, ms)], delta=cfg.delta)
+        _, mask = segment_scene(pan, ms, t, cfg)
+        es = detect_edges(pan, cfg)
+        placed = translate(mask, *place_mask(mask, es, pan, cfg).offset)
+        markers = MarkerSet(skeleton_marker(placed, cfg),
+                            external_boundary(placed, StructuringElement(cfg.se_shape, cfg.boundary_se_radius)))
+        relief = impose_minima(inject_edges(gradient_magnitude(pan), es), markers)
+        got = watershed_flood(relief, markers).labels
+        assert np.array_equal(got, heap_watershed_flood(relief, markers).labels)
+        assert (got == WSHED).any()
+
     def test_infinite_relief_ranks(self):
         data = np.array([[0.0, -np.inf, np.inf, 2.0, np.inf, 0.0]])
         markers = MarkerSet(mask_at((1, 6), [(0, 0)]), mask_at((1, 6), [(0, 5)]))
@@ -275,6 +351,47 @@ class TestFloodOracleProperty:
         got = watershed_flood(ScalarImage(relief), MarkerSet(BinaryMask(obj), BinaryMask(bg))).labels
         want, _ = naive_watershed(relief, obj, bg)
         assert np.array_equal(got, want)
+
+
+@st.composite
+def pipeline_flood_cases(draw):
+    """Pipeline-shaped frames up to 40x40: a relief of 1 to 6 integer
+    levels in blocks of 1, 2 or 4 pixels, so plateaus and ties occur; an
+    object marker of one to three strokes; a background marker that is the
+    external boundary of the strokes' dilation, often cut by the frame;
+    and up to four marker specks, which make some components border two
+    labels beyond the ring."""
+    h, w = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    levels, cell = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 4]))
+    coarse = draw(arrays(np.int8, (-(-h // cell), -(-w // cell)),
+                         elements=st.integers(0, levels - 1), fill=st.nothing()))
+    relief = np.kron(coarse, np.ones((cell, cell)))[:h, :w]
+    ys, xs = st.integers(0, h - 1), st.integers(0, w - 1)
+    obj = np.zeros((h, w), dtype=bool)
+    for y0, x0, y1, x1 in draw(st.lists(st.tuples(ys, xs, ys, xs), min_size=1, max_size=3)):
+        n = max(abs(y1 - y0), abs(x1 - x0)) + 1
+        obj[np.rint(np.linspace(y0, y1, n)).astype(int), np.rint(np.linspace(x0, x1, n)).astype(int)] = True
+    se = StructuringElement(draw(st.sampled_from(["disk", "square"])), draw(st.integers(1, 6)))
+    bg = external_boundary(BinaryMask(obj), se).bits.copy()
+    for y, x, to_obj in draw(st.lists(st.tuples(ys, xs, st.booleans()), max_size=4)):
+        if not (obj[y, x] or bg[y, x]):
+            (obj if to_obj else bg)[y, x] = True
+    assume(bg.any())
+    return relief, obj, bg
+
+
+class TestFloodHeapOracleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(pipeline_flood_cases())
+    def test_equals_whole_frame_heap(self, case):
+        """Settling the one-label components leaves every label, and every
+        watershed-line pixel, where the whole-frame flood put it."""
+        relief, obj, bg = case
+        markers = MarkerSet(BinaryMask(obj), BinaryMask(bg))
+        got = watershed_flood(ScalarImage(relief), markers)
+        want = heap_watershed_flood(ScalarImage(relief), markers)
+        assert got.labels.dtype == np.int32
+        assert np.array_equal(got.labels, want.labels)
 
 
 class TestImposeMinimaOracleProperty:
