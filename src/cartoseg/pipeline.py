@@ -319,12 +319,14 @@ def extract_scene(
 ):
     """Background marker, relief and flood around the object marker.
 
-    Returns (boundary, labels, object); MarkerSet raises EmptyMarker when
-    either marker is empty.
+    The relief is imposed on the contested pixels alone, the only ones the
+    flood reads.  Returns (boundary, labels, object); MarkerSet raises
+    EmptyMarker when either marker is empty.
     """
     boundary = external_boundary(placed, _se(cfg, cfg.boundary_se_radius))
     markers = MarkerSet(object_marker=skel, background_marker=boundary)
-    relief = impose_minima(inject_edges(gradient_magnitude(pan), es), markers)
+    grad = inject_edges(gradient_magnitude(pan), es)
+    relief = impose_minima(grad, markers, markers.partition.contested)
     labels = watershed_flood(relief, markers)
     return boundary, labels, extract_object(labels, markers)
 

@@ -35,7 +35,28 @@ whole frame, for any markers:
 
 The pipeline's background marker is the outer rim of the dilated mask, so
 a component outside it borders that marker alone unless the frame cuts
-the rim into pieces.
+the rim into pieces.  `MarkerSet.partition` holds this split, computed
+once per marker set.
+
+The imposed relief of a pixel depends only on its own free component and
+on the markers, so `impose_minima` may reconstruct the contested
+components alone, with every other unmarked pixel held at +inf:
+
+* the imposed value of a free pixel is the least, over 8-paths from a
+  marker pixel to it, of the greatest raised relief on the path's free
+  pixels;
+* two 8-adjacent free pixels of different 4-connected components are
+  diagonal neighbours whose two shared 4-neighbours are both marker
+  pixels, since a free one would join them;
+* so the last entry of a path into the target's component can start from
+  one of those marker pixels instead, and the shorter path's free pixels
+  are a subset of the longer one's and all lie in that component;
+* with the pixels outside the region at +inf, the erosion loop finds that
+  least value over paths through the region and the markers alone.
+
+The step and the sentinel still come from the whole relief's minimum and
+maximum, and a pass only takes minima and maxima of those values, so each
+reconstructed value equals the whole-frame one bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +64,8 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +98,32 @@ class MarkerSet:
             raise ValueError("markers must share dimensions")
         if (self.object_marker.bits & self.background_marker.bits).any():
             raise MarkerOverlap("object and background markers overlap")
+
+    @cached_property
+    def partition(self) -> Partition:
+        """Marker labels and the settled/contested split of the unmarked
+        pixels (module docstring), computed on the first read; the marker
+        masks must not change after it."""
+        labels, object_ids = label_marker_components(self)
+        free, n_free = label_components(labels == 0, connectivity=4)
+        # least and greatest marker label 4-adjacent to each free component
+        lo = np.full(n_free + 1, np.iinfo(np.int32).max, dtype=np.int32)
+        hi = np.zeros(n_free + 1, dtype=np.int32)
+        for plane in _neighbor_planes(labels)[::2]:  # N, E, S, W
+            at = (free > 0) & (plane > 0)
+            np.minimum.at(lo, free[at], plane[at])
+            np.maximum.at(hi, free[at], plane[at])
+        # index 0, the marker pixels, has lo > hi: neither settled nor contested
+        return Partition(labels, len(object_ids), np.where(lo == hi, hi, 0)[free], (lo < hi)[free])
+
+
+class Partition(NamedTuple):
+    """`MarkerSet.partition`: per-pixel arrays over the frame."""
+
+    labels: np.ndarray  # marker component labels (label_marker_components), 0 elsewhere
+    n_object: int  # object components hold labels 1..n_object
+    settled: np.ndarray  # the one label bordering a settled pixel's component, 0 elsewhere
+    contested: np.ndarray  # unmarked pixels whose component borders two labels
 
 
 @dataclass(eq=False)
@@ -121,7 +170,7 @@ def inject_edges(grad: ScalarImage, es: EdgeSet) -> ScalarImage:
     return ScalarImage(data, grad.resolution)
 
 
-def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
+def impose_minima(grad: ScalarImage, markers: MarkerSet, region: np.ndarray | None = None) -> ScalarImage:
     """Force the relief to have regional minima exactly at the markers.
 
     Marker pixels drop to a sentinel below the global minimum; elsewhere
@@ -129,10 +178,17 @@ def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
     fills every unmarked pit.  Distinct marker components should not touch
     (not even diagonally) or they merge into one minimum.
 
+    Only the unmarked pixels of the boolean mask `region` (default: every
+    unmarked pixel) are reconstructed; every other unmarked pixel holds
+    +inf.  A region made of whole 4-connected free components, such as
+    ``markers.partition.contested``, gets the default call's values on
+    each of its pixels (module docstring), in fewer passes.
+
     Each pass sets ``cur = max(erode(cur), ceiling)``, until one changes
     nothing; ``erode`` is the 3x3 minimum, +inf outside the frame, taken on
     one +inf-bordered buffer as the minimum of three columns, then rows.
-    Raises ValueError on NaN or -inf relief, where no pass is a fixpoint.
+    Raises ValueError on NaN or -inf anywhere in the relief, where no pass
+    is a fixpoint.
     """
     f = grad.data.astype(np.float64)
     marked = markers.object_marker.bits | markers.background_marker.bits
@@ -143,7 +199,7 @@ def impose_minima(grad: ScalarImage, markers: MarkerSet) -> ScalarImage:
     step = (hi - lo) * 1e-3 if hi > lo else 1.0
     sentinel = lo - 1.0
     seed = np.where(marked, sentinel, np.inf)
-    ceiling = np.minimum(f + step, seed)
+    ceiling = np.where(~marked if region is None else region & ~marked, f + step, seed)
     h, w = f.shape
     padded = np.full((h + 2, w + 2), np.inf)
     cur = padded[1:-1, 1:-1]
@@ -195,19 +251,9 @@ def watershed_flood(relief: ScalarImage, markers: MarkerSet) -> LabelImage:
         raise ValueError("relief and markers must share dimensions")
     if np.isnan(data).any():
         raise ValueError("relief must not contain NaN")
-    marker_labels, _ = label_marker_components(markers)
-    free, n_free = label_components(marker_labels == 0, connectivity=4)
-    # least and greatest marker label 4-adjacent to each free component
-    lo = np.full(n_free + 1, np.iinfo(np.int32).max, dtype=np.int32)
-    hi = np.zeros(n_free + 1, dtype=np.int32)
-    for plane in _neighbor_planes(marker_labels)[::2]:  # N, E, S, W
-        at = (free > 0) & (plane > 0)
-        np.minimum.at(lo, free[at], plane[at])
-        np.maximum.at(hi, free[at], plane[at])
-    settled = np.where(lo == hi, hi, 0)  # index 0, the marker pixels, has lo > hi: adds 0
-    contested = (lo < hi)[free]
+    marker_labels, _, settled, contested = markers.partition
     W = w + 2
-    labels = np.pad(marker_labels + settled[free], 1, constant_values=WSHED).ravel().tolist()
+    labels = np.pad(marker_labels + settled, 1, constant_values=WSHED).ravel().tolist()
     first = labels.copy()  # basin of the first touch (a marker's own); 0 = untouched
     mixed = [False] * len(labels)  # touched by a second basin as well
     rank = np.zeros((h, w), dtype=np.int64)
@@ -245,8 +291,7 @@ def extract_object(labels: LabelImage, markers: MarkerSet) -> BinaryMask:
     Watershed-line pixels are excluded.  If no pixel carries an object
     label (mismatched inputs) the result is empty and a warning is logged.
     """
-    _, n_obj = label_components(markers.object_marker.bits, connectivity=8)
-    bits = (labels.labels >= 1) & (labels.labels <= n_obj)
+    bits = (labels.labels >= 1) & (labels.labels <= markers.partition.n_object)
     if not bits.any():
         log.warning("no object basin found in the label image")
     return BinaryMask(bits)

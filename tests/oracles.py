@@ -77,6 +77,35 @@ def bfs_label_components(bits: np.ndarray, connectivity: int = 8):
     return labels, count
 
 
+def bfs_label_links(bits: np.ndarray, links) -> tuple[np.ndarray, int]:
+    """`morph._label_links` as a stack flood fill over explicit links:
+    ``links[k][y, x]`` joins the pixel at (y, x) of the first slice of the
+    k-th pair (E, S, SE, SW) to its partner (y + dy, x + dx)."""
+    steps = [(0, 1), (1, 0), (1, 1), (1, -1)]
+    h, w = bits.shape
+    nbrs = {}
+    for (dy, dx), m in zip(steps, links):
+        for ly, lx in zip(*np.nonzero(m)):
+            y, x = int(ly), int(lx) + (dx < 0)  # the SW slice starts at column 1
+            nbrs.setdefault((y, x), []).append((y + dy, x + dx))
+            nbrs.setdefault((y + dy, x + dx), []).append((y, x))
+    labels = np.zeros((h, w), dtype=np.int32)
+    count = 0
+    for sy in range(h):
+        for sx in range(w):
+            if not bits[sy, sx] or labels[sy, sx]:
+                continue
+            count += 1
+            labels[sy, sx] = count
+            stack = [(sy, sx)]
+            while stack:
+                for ny, nx in nbrs.get(stack.pop(), []):
+                    if not labels[ny, nx]:
+                        labels[ny, nx] = count
+                        stack.append((ny, nx))
+    return labels, count
+
+
 # ---------------------------------------------------------------------------
 # hysteresis
 # ---------------------------------------------------------------------------

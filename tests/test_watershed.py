@@ -17,6 +17,7 @@ from cartoseg.pipeline import (
     PipelineConfig,
     clip_ms,
     detect_edges,
+    extract_scene,
     place_mask,
     segment_scene,
     skeleton_marker,
@@ -60,6 +61,23 @@ def separated_random_markers(rng, shape, n_obj=1, n_bg=1):
     return MarkerSet(obj, bg)
 
 
+@pytest.fixture(scope="module", params=KINDS)
+def rendered_scene(request):
+    """A seed-44 synth scene of each kind carried through segmentation,
+    edges and placement to the markers: (pan, placed, edges, injected
+    gradient, markers)."""
+    cfg = PipelineConfig()
+    spec = SceneSpec(kind=request.param, seed=44, noise=8.0, clutter=2, offset=(3, -2))
+    pan, ms, _ = generate_scene(spec)
+    t = corpus_mode_threshold([clip_ms(pan, ms)], delta=cfg.delta)
+    _, mask = segment_scene(pan, ms, t, cfg)
+    es = detect_edges(pan, cfg)
+    placed = translate(mask, *place_mask(mask, es, pan, cfg).offset)
+    markers = MarkerSet(skeleton_marker(placed, cfg),
+                        external_boundary(placed, StructuringElement(cfg.se_shape, cfg.boundary_se_radius)))
+    return pan, placed, es, inject_edges(gradient_magnitude(pan), es), markers
+
+
 class TestMarkerSet:
     def test_empty_marker(self):
         with pytest.raises(EmptyMarker):
@@ -78,6 +96,35 @@ class TestMarkerSet:
         labels, obj_ids = label_marker_components(m)
         assert obj_ids == {1, 2}
         assert labels[0, 0] == 1 and labels[5, 5] == 2 and labels[0, 5] == 3
+
+    def test_partition_computed_once_per_scene(self, monkeypatch):
+        """`extract_scene` labels the object marker, the background marker
+        and the free pixels once each, for the relief, the flood and the
+        extraction together."""
+        rng = np.random.default_rng(12)
+        pan = ScalarImage(rng.uniform(0, 255, (24, 24)))
+        placed = np.zeros((24, 24), dtype=bool)
+        placed[8:16, 5:19] = True
+        cfg = PipelineConfig()
+        skel = skeleton_marker(BinaryMask(placed), cfg)
+        calls = []
+        label = watershed.label_components
+
+        def counted(bits, connectivity=8):
+            calls.append(connectivity)
+            return label(bits, connectivity)
+
+        monkeypatch.setattr(watershed, "label_components", counted)
+        extract_scene(pan, BinaryMask(placed), skel, EdgeSet([], 24, 24), cfg)
+        assert calls == [8, 8, 4]
+
+    def test_partition_is_cached(self):
+        m = MarkerSet(mask_at((6, 6), [(0, 0), (5, 5)]), mask_at((6, 6), [(0, 5)]))
+        first = m.partition
+        assert m.partition is first
+        # one free component, bordered by all three labels
+        assert first.n_object == 2 and not first.settled.any()
+        assert np.array_equal(first.contested, first.labels == 0)
 
 
 class TestGradient:
@@ -171,27 +218,55 @@ class TestImposeMinima:
                     expected.add(frozenset([(int(y), int(x))]))
             assert minima == expected
 
+    @staticmethod
+    def rejects_promptly(setup: str, call: str) -> bool:
+        """Whether `call` raises ValueError after `setup` builds `data`, `obj`
+        and `bg`.  No reconstruction pass is a fixpoint on a NaN or -inf
+        relief, so the call runs in a subprocess, where a hang ends at the
+        timeout."""
+        code = "\n".join([
+            "import numpy as np",
+            "from cartoseg.raster import BinaryMask, ScalarImage",
+            "from cartoseg.watershed import MarkerSet, impose_minima",
+            textwrap.dedent(setup),
+            "markers = MarkerSet(BinaryMask(obj), BinaryMask(bg))",
+            "try:",
+            f"    {call}",
+            "except ValueError:",
+            "    raise SystemExit(3)",
+        ])
+        src = str(Path(cartoseg.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        return done.returncode == 3
+
     @pytest.mark.parametrize("bad", ["nan", "-inf"])
     def test_nan_or_minus_inf_relief_rejected_promptly(self, bad):
-        """No reconstruction pass is a fixpoint on such a relief, so the call
-        runs in a subprocess, where a hang ends at the timeout."""
-        code = textwrap.dedent(f"""
-            import numpy as np
-            from cartoseg.raster import BinaryMask, ScalarImage
-            from cartoseg.watershed import MarkerSet, impose_minima
+        setup = f"""
             data = np.zeros((4, 4))
             data[1, 2] = float("{bad}")
             obj, bg = np.zeros((2, 4, 4), dtype=bool)
             obj[0, 0] = bg[3, 3] = True
-            try:
-                impose_minima(ScalarImage(data), MarkerSet(BinaryMask(obj), BinaryMask(bg)))
-            except ValueError:
-                raise SystemExit(3)
-        """)
-        src = str(Path(cartoseg.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 3
+        """
+        assert self.rejects_promptly(setup, "impose_minima(ScalarImage(data), markers)")
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_bad_value_in_settled_component_rejected_promptly(self, bad):
+        """The centre pixel, enclosed by the object ring, is settled: the
+        region excludes it, and the check still sees it."""
+        setup = f"""
+            data = np.zeros((5, 5))
+            data[2, 2] = float("{bad}")
+            obj, bg = np.zeros((2, 5, 5), dtype=bool)
+            obj[1:4, 1:4] = True
+            obj[2, 2] = False
+            bg[4, 4] = True
+        """
+        call = "impose_minima(ScalarImage(data), markers, markers.partition.contested)"
+        assert self.rejects_promptly(setup, call)
+        ring = [(y, x) for y in (1, 2, 3) for x in (1, 2, 3) if (y, x) != (2, 2)]
+        part = MarkerSet(mask_at((5, 5), ring), mask_at((5, 5), [(4, 4)])).partition
+        assert part.settled[2, 2] == 1 and not part.contested[2, 2]
 
 
 class TestWatershedFlood:
@@ -289,19 +364,11 @@ class TestWatershedFlood:
         assert np.array_equal(got, want)
         assert got[0, 0] == 1 and len(pushed) == 12
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_rendered_scene_equals_whole_frame_heap(self, kind):
+    def test_rendered_scene_equals_whole_frame_heap(self, rendered_scene):
         """A synth scene carried through segmentation, edges, placement and
-        markers to the imposed relief, as the pipeline floods it."""
-        cfg = PipelineConfig()
-        pan, ms, _ = generate_scene(SceneSpec(kind=kind, seed=44, noise=8.0, clutter=2, offset=(3, -2)))
-        t = corpus_mode_threshold([clip_ms(pan, ms)], delta=cfg.delta)
-        _, mask = segment_scene(pan, ms, t, cfg)
-        es = detect_edges(pan, cfg)
-        placed = translate(mask, *place_mask(mask, es, pan, cfg).offset)
-        markers = MarkerSet(skeleton_marker(placed, cfg),
-                            external_boundary(placed, StructuringElement(cfg.se_shape, cfg.boundary_se_radius)))
-        relief = impose_minima(inject_edges(gradient_magnitude(pan), es), markers)
+        markers to the imposed relief, flooded."""
+        _, _, _, grad, markers = rendered_scene
+        relief = impose_minima(grad, markers)
         got = watershed_flood(relief, markers).labels
         assert np.array_equal(got, heap_watershed_flood(relief, markers).labels)
         assert (got == WSHED).any()
@@ -404,6 +471,42 @@ class TestImposeMinimaOracleProperty:
         want = erode8_impose_minima(relief * scale, obj | bg)
         assert got.data.dtype == np.float64
         assert np.array_equal(got.data, want)
+
+
+def assert_region_relief_floods_alike(relief: np.ndarray, obj: np.ndarray, bg: np.ndarray) -> None:
+    """The contested-region relief holds the whole-frame values on the
+    contested and marker pixels and +inf elsewhere, and floods to the same
+    labels as the whole-frame relief."""
+    markers = MarkerSet(BinaryMask(obj), BinaryMask(bg))
+    whole = impose_minima(ScalarImage(relief), markers)
+    contested = markers.partition.contested
+    region = impose_minima(ScalarImage(relief), markers, contested)
+    assert np.array_equal(region.data, np.where(contested | obj | bg, whole.data, np.inf))
+    assert np.array_equal(watershed_flood(region, markers).labels, watershed_flood(whole, markers).labels)
+
+
+class TestImposeMinimaRegionProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(pipeline_flood_cases(), st.sampled_from([1.0, 1e6, 1e305]))
+    def test_pipeline_cases(self, case, scale):
+        relief, obj, bg = case
+        assert_region_relief_floods_alike(relief * scale, obj, bg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(flood_cases(), st.sampled_from([1.0, 1e6, 1e305]))
+    def test_touching_markers_and_thin_frames(self, case, scale):
+        relief, obj, bg = case
+        assert_region_relief_floods_alike(relief * scale, obj, bg)
+
+    def test_rendered_scene(self, rendered_scene):
+        """The pipeline's own call imposes on the contested region and floods
+        to the whole-frame relief's labels."""
+        pan, placed, es, grad, markers = rendered_scene
+        assert_region_relief_floods_alike(grad.data, markers.object_marker.bits, markers.background_marker.bits)
+        cfg = PipelineConfig()
+        _, labels, _ = extract_scene(pan, placed, markers.object_marker, es, cfg)
+        want = heap_watershed_flood(impose_minima(grad, markers), markers).labels
+        assert np.array_equal(labels.labels, want)
 
 
 class TestExtractObject:
