@@ -1,11 +1,13 @@
 """Structural models of extracted shapes.
 
-A mask decomposes into geometric primitives (rectangles, circles, line
-segments), the primitives and their contacts form an attributed
-relational graph, and a set of such graphs yields an object model: the
-maximal common subgraph and minimal common supergraph of its prototypes.
-Scoring uses the normalized maximal-common-subgraph distance
-1 - |mcs| / max(|g1|, |g2|) against the nearest prototype.
+A mask's skeleton decomposes into geometric primitives (circles from its
+cycles, line segments from its arcs), the primitives and their contacts
+form an attributed relational graph, and a set of such graphs yields an
+object model: the maximal common subgraph and minimal common supergraph
+of its prototypes.  Scoring uses the normalized maximal-common-subgraph
+distance 1 - |mcs| / max(|g1|, |g2|) against the nearest prototype.
+Rectangles remain a primitive kind only because the scene generator
+writes its truth graphs with them.
 
 Common-subgraph semantics here are *induced*: a vertex pairing is valid
 only when each mapped pair of vertices agrees on edge presence and edge
@@ -26,7 +28,7 @@ from .raster import DOC_ERRORS, BinaryMask, FormatError
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
 CONNECTION_KINDS = ("end-to-end", "end-to-side", "overlap")
-DECOMPOSE_MODES = ("shapes", "skeleton")
+DECOMPOSE_MODES = ("skeleton",)
 
 
 class BudgetExceeded(Exception):
@@ -51,9 +53,10 @@ def _mod_pi(angle: float) -> float:
 class Primitive:
     """A geometric building block, all lengths in meters.
 
-    rectangle: center, width (extent along ``orientation``), height
     circle:    center, radius
     segment:   endpoints (length/orientation derived)
+    rectangle: center, width (extent along ``orientation``), height; in
+               the scene generator's truth graphs only
     """
 
     kind: str
@@ -97,96 +100,7 @@ def make_segment(p1: tuple[float, float], p2: tuple[float, float]) -> Primitive:
 # decomposition
 # ---------------------------------------------------------------------------
 
-CIRCLE_ISOPERIMETRIC = 0.85
 _MIN_ARC_PIXELS = 3
-
-
-def _cross(o, a, b) -> float:
-    """Cross product of the vectors o->a and o->b: > 0 for a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _min_area_rect(hull: list[tuple[float, float]]):
-    """Minimum-area oriented box of a convex hull: (center, long, short,
-    orientation)."""
-    if len(hull) == 1:
-        return hull[0], 0.0, 0.0, 0.0
-    if len(hull) == 2:
-        (x1, y1), (x2, y2) = hull
-        theta = _mod_pi(math.atan2(y2 - y1, x2 - x1))
-        return ((x1 + x2) / 2, (y1 + y2) / 2), math.hypot(x2 - x1, y2 - y1), 0.0, theta
-    arr = np.array(hull, dtype=np.float64)
-    best = None
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        theta = math.atan2(y2 - y1, x2 - x1)
-        c, s = math.cos(-theta), math.sin(-theta)
-        rx = arr[:, 0] * c - arr[:, 1] * s
-        ry = arr[:, 0] * s + arr[:, 1] * c
-        wdt = float(rx.max() - rx.min())
-        hgt = float(ry.max() - ry.min())
-        area = wdt * hgt
-        if best is None or area < best[0]:
-            mx = (float(rx.max()) + float(rx.min())) / 2
-            my = (float(ry.max()) + float(ry.min())) / 2
-            cx = mx * math.cos(theta) - my * math.sin(theta)
-            cy = mx * math.sin(theta) + my * math.cos(theta)
-            best = (area, (cx, cy), wdt, hgt, theta)
-    _, center, wdt, hgt, theta = best
-    if wdt >= hgt:
-        return center, wdt, hgt, _mod_pi(theta)
-    return center, hgt, wdt, _mod_pi(theta + math.pi / 2)
-
-
-def _hull_perimeter(hull: list[tuple[float, float]]) -> float:
-    if len(hull) < 2:
-        return 0.0
-    total = 0.0
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        total += math.hypot(x2 - x1, y2 - y1)
-    return total
-
-
-def _fit_shape(ys: np.ndarray, xs: np.ndarray, resolution: float) -> Primitive:
-    area = float(len(ys))
-    hull = _convex_hull([(float(x), float(y)) for y, x in zip(ys, xs)])
-    # hull perimeter avoids the staircase excess of traced digital contours;
-    # + pi accounts for the half-pixel between centers and the true outline
-    perimeter = _hull_perimeter(hull) + math.pi
-    iso = 4.0 * math.pi * area / (perimeter * perimeter)
-    if iso > CIRCLE_ISOPERIMETRIC:
-        cx = float(xs.mean()) * resolution
-        cy = float(ys.mean()) * resolution
-        r = math.sqrt(area / math.pi) * resolution
-        return Primitive("circle", (cx, cy), radius=r)
-    center, long_d, short_d, theta = _min_area_rect(hull)
-    return Primitive(
-        "rectangle",
-        (center[0] * resolution, center[1] * resolution),
-        width=(long_d + 1.0) * resolution,   # pixel extent: centers span long_d
-        height=(short_d + 1.0) * resolution,
-        orientation=theta,
-    )
 
 
 def _components(labels: np.ndarray, count: int, where: np.ndarray | None = None):
@@ -242,7 +156,16 @@ def _two_core(bits: np.ndarray) -> np.ndarray:
     return core[1:-1, 1:-1]
 
 
-def _skeleton_primitives(mask: BinaryMask, resolution: float) -> list[Primitive]:
+def decompose(mask: BinaryMask, mode: str = "skeleton", resolution: float = 1.0) -> list[Primitive]:
+    """Split a mask into primitives in meters, at ``resolution`` per pixel:
+    its skeleton's cycles become circles and its branch-free arcs segments.
+    "skeleton" is the one ``mode``, the pipeline's ``decompose_mode``."""
+    if mode not in DECOMPOSE_MODES:
+        raise ValueError(f"unknown decompose mode {mode!r}")
+    if not 0 < resolution < math.inf:  # False on NaN too
+        raise ValueError("resolution must be finite and positive")
+    if mask.is_empty():
+        raise EmptyMask("cannot decompose an empty mask")
     skel = skeletonize(mask).bits
     prims: list[Primitive] = []
 
@@ -301,24 +224,6 @@ def _farthest_pair(pts: np.ndarray) -> np.ndarray:
     """
     d = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     return pts[list(divmod(int(np.argmax(d)), len(pts)))]
-
-
-def decompose(mask: BinaryMask, mode: str = "shapes", resolution: float = 1.0) -> list[Primitive]:
-    """Split a mask into primitives.
-
-    ``shapes`` fits one circle (near-round components, isoperimetric ratio
-    above 0.85) or one oriented rectangle per connected component;
-    ``skeleton`` thins the mask, turns skeleton cycles into circles and
-    branch-free arcs into segments.
-    """
-    if mask.is_empty():
-        raise EmptyMask("cannot decompose an empty mask")
-    if mode == "skeleton":
-        return _skeleton_primitives(mask, resolution)
-    if mode not in DECOMPOSE_MODES:
-        raise ValueError(f"unknown decompose mode {mode!r}")
-    labels, count = label_components(mask.bits, connectivity=8)
-    return [_fit_shape(ys, xs, resolution) for ys, xs in _components(labels, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +346,11 @@ def _contains(p: Primitive, pt: np.ndarray) -> bool:
         ry = -(pt[0] - p.center[0]) * s + (pt[1] - p.center[1]) * c
         return abs(rx) < p.width / 2.0 - 1e-9 and abs(ry) < p.height / 2.0 - 1e-9
     return False
+
+
+def _cross(o, a, b) -> float:
+    """Cross product of the vectors o->a and o->b: > 0 for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _segments_cross(a: Primitive, b: Primitive) -> bool:

@@ -283,6 +283,8 @@ def corpus_specs(
 ) -> list[SceneSpec]:
     """Reproducible scene specs: per-scene seeds, angles and offsets all
     derive from the master seed."""
+    if n_bridge < 0 or n_roundabout < 0:
+        raise SpecError("scene counts must be non-negative")
     master = np.random.default_rng(seed)
     specs = []
     kinds = ["bridge"] * n_bridge + ["roundabout"] * n_roundabout

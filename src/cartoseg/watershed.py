@@ -104,7 +104,7 @@ class MarkerSet:
         """Marker labels and the settled/contested split of the unmarked
         pixels (module docstring), computed on the first read; the marker
         masks must not change after it."""
-        labels, object_ids = label_marker_components(self)
+        labels, n_object = label_marker_components(self)
         free, n_free = label_components(labels == 0, connectivity=4)
         # least and greatest marker label 4-adjacent to each free component
         lo = np.full(n_free + 1, np.iinfo(np.int32).max, dtype=np.int32)
@@ -114,7 +114,7 @@ class MarkerSet:
             np.minimum.at(lo, free[at], plane[at])
             np.maximum.at(hi, free[at], plane[at])
         # index 0, the marker pixels, has lo > hi: neither settled nor contested
-        return Partition(labels, len(object_ids), np.where(lo == hi, hi, 0)[free], (lo < hi)[free])
+        return Partition(labels, n_object, np.where(lo == hi, hi, 0)[free], (lo < hi)[free])
 
 
 class Partition(NamedTuple):
@@ -220,13 +220,14 @@ def label_marker_components(markers: MarkerSet):
     """8-connected component labels for both markers on one grid.
 
     Object components take the low labels (row-major discovery order),
-    background components follow.  Returns (labels, object_label_set).
+    background components follow.  Returns (labels, number of object
+    components).
     """
     obj_labels, n_obj = label_components(markers.object_marker.bits, connectivity=8)
     bg_labels, _ = label_components(markers.background_marker.bits, connectivity=8)
     labels = np.where(obj_labels > 0, obj_labels, 0).astype(np.int32)
     labels = np.where(bg_labels > 0, bg_labels + n_obj, labels)
-    return labels, set(range(1, n_obj + 1))
+    return labels, n_obj
 
 
 def watershed_flood(relief: ScalarImage, markers: MarkerSet) -> LabelImage:

@@ -826,96 +826,6 @@ def list_mcs_mapping(g1, g2, node_budget: int):
     return [pairs[i] for i in best], nodes
 
 
-def _loop_convex_hull(points):
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _loop_min_area_rect(points):
-    from cartoseg.graphs import _mod_pi
-
-    hull = _loop_convex_hull(points)
-    if len(hull) == 1:
-        return hull[0], 0.0, 0.0, 0.0
-    if len(hull) == 2:
-        (x1, y1), (x2, y2) = hull
-        theta = _mod_pi(math.atan2(y2 - y1, x2 - x1))
-        return ((x1 + x2) / 2, (y1 + y2) / 2), math.hypot(x2 - x1, y2 - y1), 0.0, theta
-    arr = np.array(hull, dtype=np.float64)
-    best = None
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        theta = math.atan2(y2 - y1, x2 - x1)
-        c, s = math.cos(-theta), math.sin(-theta)
-        rx = arr[:, 0] * c - arr[:, 1] * s
-        ry = arr[:, 0] * s + arr[:, 1] * c
-        wdt = float(rx.max() - rx.min())
-        hgt = float(ry.max() - ry.min())
-        area = wdt * hgt
-        if best is None or area < best[0]:
-            mx = (float(rx.max()) + float(rx.min())) / 2
-            my = (float(ry.max()) + float(ry.min())) / 2
-            cx = mx * math.cos(theta) - my * math.sin(theta)
-            cy = mx * math.sin(theta) + my * math.cos(theta)
-            best = (area, (cx, cy), wdt, hgt, theta)
-    _, center, wdt, hgt, theta = best
-    if wdt >= hgt:
-        return center, wdt, hgt, _mod_pi(theta)
-    return center, hgt, wdt, _mod_pi(theta + math.pi / 2)
-
-
-def _loop_hull_perimeter(points) -> float:
-    hull = _loop_convex_hull(points)
-    if len(hull) < 2:
-        return 0.0
-    total = 0.0
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        total += math.hypot(x2 - x1, y2 - y1)
-    return total
-
-
-def _loop_fit_shape(bits: np.ndarray, resolution: float):
-    from cartoseg.graphs import CIRCLE_ISOPERIMETRIC, Primitive
-
-    area = float(np.count_nonzero(bits))
-    ys, xs = np.nonzero(bits)
-    pts = [(float(x), float(y)) for y, x in zip(ys, xs)]
-    perimeter = _loop_hull_perimeter(pts) + math.pi
-    iso = 4.0 * math.pi * area / (perimeter * perimeter)
-    if iso > CIRCLE_ISOPERIMETRIC:
-        cx = float(xs.mean()) * resolution
-        cy = float(ys.mean()) * resolution
-        r = math.sqrt(area / math.pi) * resolution
-        return Primitive("circle", (cx, cy), radius=r)
-    center, long_d, short_d, theta = _loop_min_area_rect(pts)
-    return Primitive(
-        "rectangle",
-        (center[0] * resolution, center[1] * resolution),
-        width=(long_d + 1.0) * resolution,
-        height=(short_d + 1.0) * resolution,
-        orientation=theta,
-    )
-
-
 def _loop_arc_endpoints(bits: np.ndarray):
     from cartoseg.graphs import _reduced_degree
 
@@ -936,7 +846,9 @@ def loop_farthest_pair(pts):
     return list(best)
 
 
-def _loop_skeleton_primitives(mask, resolution: float):
+def loop_decompose(mask, resolution: float):
+    """`decompose` with one full-frame `labels == lab` scan per component
+    and arc ends from each arc's own reduced degree."""
     from cartoseg.graphs import _MIN_ARC_PIXELS, Primitive, _label_arcs, _reduced_degree, _two_core, make_segment
     from cartoseg.morph import label_components, skeletonize
 
@@ -969,17 +881,6 @@ def _loop_skeleton_primitives(mask, resolution: float):
             if p1 != p2:
                 prims.append(make_segment(p1, p2))
     return prims
-
-
-def loop_decompose(mask, mode: str, resolution: float):
-    """`decompose` with one full-frame `labels == lab` scan per component,
-    a convex hull per use, and arc ends from each arc's own reduced degree."""
-    from cartoseg.morph import label_components
-
-    if mode == "skeleton":
-        return _loop_skeleton_primitives(mask, resolution)
-    labels, count = label_components(mask.bits, connectivity=8)
-    return [_loop_fit_shape(labels == lab, resolution) for lab in range(1, count + 1)]
 
 
 def old_arg_to_json(g) -> str:

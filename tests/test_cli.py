@@ -24,6 +24,16 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+def truth_masks(tmp_path, corpus_dir):
+    """A directory holding the truth masks of the corpus's first two scenes."""
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for entry in json.loads((corpus_dir / "manifest.json").read_text())["scenes"][:2]:
+        m = read_mask(corpus_dir / entry["files"]["truth_mask"])
+        write_raster(m, masks / f"{entry['id']}.pgm")
+    return masks
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -34,15 +44,30 @@ class TestExitCodes:
         rc = main(["edges", "--pan", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "e.json")])
         assert rc == 2
 
+    def test_negative_scene_count_is_one(self, tmp_path):
+        assert main(["synth", "--n", "-3", "--out", str(tmp_path / "corpus")]) == 1
+        assert not (tmp_path / "corpus").exists()
+
     def test_budget_exceeded_is_three(self, tmp_path, corpus_dir):
-        masks = tmp_path / "masks"
-        masks.mkdir()
-        for entry in json.loads((corpus_dir / "manifest.json").read_text())["scenes"][:2]:
-            m = read_mask(corpus_dir / entry["files"]["truth_mask"])
-            write_raster(m, masks / f"{entry['id']}.pgm")
-        rc = main(["model", "--masks", str(masks), "--out", str(tmp_path / "m.json"),
-                   "--node_budget", "2"])
+        rc = main(["model", "--masks", str(truth_masks(tmp_path, corpus_dir)),
+                   "--out", str(tmp_path / "m.json"), "--node_budget", "2"])
         assert rc == 3
+
+    @pytest.mark.parametrize("resolution", ["0", "-2.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["model", "score"])
+    def test_bad_resolution_is_one(self, tmp_path, corpus_dir, command, resolution, capsys):
+        masks = truth_masks(tmp_path, corpus_dir)
+        out = tmp_path / "m.json"
+        if command == "model":
+            argv = ["model", "--masks", str(masks), "--out", str(out)]
+        else:
+            (tmp_path / "model.json").write_text(
+                graphs.model_to_json(graphs.generate_model([graphs.Arg([(0, "circle")], [])])))
+            argv = ["score", "--model", str(tmp_path / "model.json"),
+                    "--mask", str(next(masks.glob("*.pgm")))]
+        assert main([*argv, "--resolution", resolution]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "box, flags",
@@ -73,7 +98,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, raw",
         [("half_window", "-3"), ("se_shape", "hexagon"), ("match_se_radius", "0"),
-         ("boundary_se_radius", "0"), ("decompose_mode", "foo"), ("threshold_source", "ch9")],
+         ("boundary_se_radius", "0"), ("decompose_mode", "foo"), ("decompose_mode", "shapes"),
+         ("threshold_source", "ch9")],
     )
     def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir, key, raw):
         rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from cartoseg import edges
 from cartoseg.graphs import (
     CONNECTION_KINDS,
-    DECOMPOSE_MODES,
     DIRECTION_BINS,
     Arg,
     BudgetExceeded,
@@ -37,6 +36,7 @@ from cartoseg.graphs import (
     _two_core,
 )
 from cartoseg.morph import EmptyMask, skeletonize
+from cartoseg.pipeline import PipelineConfig
 from cartoseg.raster import BinaryMask, FormatError
 from oracles import (
     bfs_label_arcs,
@@ -115,47 +115,24 @@ def render_bar(shape, cy, cx, angle, length, width):
     return (np.abs(u) <= length / 2) & (np.abs(v) <= width / 2)
 
 
-class TestDecomposeShapes:
+class TestDecomposeSkeleton:
     def test_empty_mask(self):
         with pytest.raises(EmptyMask):
             decompose(BinaryMask(np.zeros((4, 4), dtype=bool)))
 
-    def test_disk_fits_circle(self):
-        bits = render_disk((33, 33), 16.0, 16.0, 10.0)
-        prims = decompose(BinaryMask(bits), "shapes")
-        assert len(prims) == 1 and prims[0].kind == "circle"
-        assert prims[0].center[0] == pytest.approx(16.0, abs=1.0)
-        assert prims[0].center[1] == pytest.approx(16.0, abs=1.0)
-        assert prims[0].radius == pytest.approx(10.0, abs=1.0)
+    def test_default_mode_is_the_pipelines(self):
+        """The library default and the pipeline default name one algorithm."""
+        mask = BinaryMask(render_disk((33, 33), 16.0, 16.0, 10.0) | render_bar(
+            (33, 33), 16.0, 16.0, 0.5, 30.0, 4.0))
+        assert decompose(mask) == decompose(mask, PipelineConfig().decompose_mode)
+        with pytest.raises(ValueError, match="decompose mode"):
+            decompose(mask, "shapes")
 
-    def test_oriented_bar_fits_rectangle(self):
-        angle = math.radians(25.0)
-        bits = render_bar((41, 41), 20.0, 20.0, angle, 30.0, 7.0)
-        prims = decompose(BinaryMask(bits), "shapes")
-        assert len(prims) == 1 and prims[0].kind == "rectangle"
-        diff = abs(prims[0].orientation - angle)
-        assert min(diff, math.pi - diff) < math.radians(5.0)
+    @pytest.mark.parametrize("resolution", [0.0, -2.5, math.nan, math.inf])
+    def test_resolution_must_be_finite_and_positive(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            decompose(BinaryMask(render_disk((9, 9), 4.0, 4.0, 3.0)), resolution=resolution)
 
-    def test_square_is_rectangle_not_circle(self):
-        bits = np.zeros((15, 15), dtype=bool)
-        bits[3:12, 3:12] = True
-        prims = decompose(BinaryMask(bits), "shapes")
-        assert prims[0].kind == "rectangle"
-
-    def test_resolution_scales_params(self):
-        bits = render_disk((33, 33), 16.0, 16.0, 10.0)
-        prims = decompose(BinaryMask(bits), "shapes", resolution=2.5)
-        assert prims[0].radius == pytest.approx(25.0, abs=2.5)
-
-    def test_two_components_two_primitives(self):
-        bits = render_disk((40, 40), 10.0, 10.0, 6.0) | render_bar(
-            (40, 40), 30.0, 25.0, 0.0, 20.0, 5.0
-        )
-        prims = decompose(BinaryMask(bits), "shapes")
-        assert sorted(p.kind for p in prims) == ["circle", "rectangle"]
-
-
-class TestDecomposeSkeleton:
     def test_plus_shape_four_segments(self):
         bits = render_bar((41, 41), 20, 20, 0.0, 30.0, 5.0) | render_bar(
             (41, 41), 20, 20, math.pi / 2, 30.0, 5.0
@@ -205,14 +182,14 @@ def decompose_masks(draw):
 
 class TestDecomposeOracle:
     @settings(max_examples=400, deadline=None)
-    @given(decompose_masks(), st.sampled_from(DECOMPOSE_MODES), st.sampled_from((1.0, 2.5)))
-    def test_equals_per_label_loops(self, bits, mode, resolution):
+    @given(decompose_masks(), st.sampled_from((1.0, 2.5)))
+    def test_equals_per_label_loops(self, bits, resolution):
         """One pass over each component gives the primitives, in the order,
         that one full-frame scan per label gave."""
         if not bits.any():
             return
         mask = BinaryMask(bits)
-        assert decompose(mask, mode, resolution) == loop_decompose(mask, mode, resolution)
+        assert decompose(mask, resolution=resolution) == loop_decompose(mask, resolution)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=40,

@@ -84,7 +84,7 @@ class TestConfig:
         [("merge_dist", "nan"), ("min_edge_len", "-1"), ("canny_sigma", "nan"),
          ("canny_sigma", "0"), ("half_window", "-3"), ("se_shape", "hexagon"),
          ("match_se_radius", "0"), ("boundary_se_radius", "0"), ("decompose_mode", "foo"),
-         ("threshold_source", "ch9")],
+         ("decompose_mode", "shapes"), ("threshold_source", "ch9")],
     )
     def test_bad_numeric_rejected(self, key, raw):
         with pytest.raises(ValueError):

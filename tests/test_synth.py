@@ -170,6 +170,13 @@ class TestCorpus:
         assert [s.kind for s in a] == ["bridge"] * 3 + ["roundabout"] * 2
         assert all(max(abs(s.offset[0]), abs(s.offset[1])) <= 10 for s in a)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(SpecError):
+            corpus_specs(-1, 2)
+        with pytest.raises(SpecError):
+            corpus_specs(2, -1)
+        assert corpus_specs(0, 0) == []
+
     def test_write_corpus_files_and_manifest(self, tmp_path):
         specs = corpus_specs(1, 1, seed=3)
         manifest = write_corpus(tmp_path, specs)

@@ -93,8 +93,8 @@ class TestMarkerSet:
         m = MarkerSet(
             mask_at((6, 6), [(0, 0), (5, 5)]), mask_at((6, 6), [(0, 5)])
         )
-        labels, obj_ids = label_marker_components(m)
-        assert obj_ids == {1, 2}
+        labels, n_obj = label_marker_components(m)
+        assert n_obj == 2
         assert labels[0, 0] == 1 and labels[5, 5] == 2 and labels[0, 5] == 3
 
     def test_partition_computed_once_per_scene(self, monkeypatch):
