@@ -87,64 +87,52 @@ def _sobel_pair(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def _trace_chains(final: np.ndarray) -> list[tuple[list[tuple[int, int]], bool]]:
-    """Decompose an edge-pixel set into maximal 8-connected paths.
+def _trace_chains(final: np.ndarray) -> list[list[int]]:
+    """Decompose an edge-pixel set into maximal 8-connected paths of pixel
+    indices, numbered row-major as `np.nonzero(final)` lists the pixels.
 
     Paths start and end at pixels whose degree differs from 2 (line ends
-    and junctions); what remains afterwards are pure cycles, traced as
-    closed chains.  Deterministic: pixels are visited row-major and
-    neighbors in a fixed order.
+    and junctions); what remains afterwards are pure cycles, each traced as
+    an open path whose last pixel repeats its first.  Deterministic: pixels
+    are visited in index order and neighbors in a fixed order.
     """
-    h, w = final.shape
-    pixels = {(int(y), int(x)) for y, x in zip(*np.nonzero(final))}
-    nbrs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for y, x in pixels:
-        lst = []
-        for dy, dx in _TRACE_ORDER:
-            q = (y + dy, x + dx)
-            if q in pixels:
-                lst.append(q)
-        nbrs[(y, x)] = lst
+    # Every pixel inside a path has degree 2, so a flag per walked pixel
+    # marks the traced pixel pairs; two adjacent terminals share one edge,
+    # which the one with the smaller index traces.
+    ys, xs = np.nonzero(final)
+    pos = np.full(np.add(final.shape, 2), -1)  # index of each pixel, -1 off the set
+    pos[ys + 1, xs + 1] = np.arange(len(ys))
+    table = np.stack([pos[ys + 1 + dy, xs + 1 + dx] for dy, dx in _TRACE_ORDER], axis=1)
+    nbrs = [[n for n in row if n >= 0] for row in table.tolist()]
+    seen = [False] * len(nbrs)
 
-    used: set[frozenset] = set()
-    chains: list[tuple[list[tuple[int, int]], bool]] = []
-
-    def walk(start, first):
-        path = [start, first]
-        used.add(frozenset((start, first)))
-        cur, prev = first, start
-        while len(nbrs[cur]) == 2:
-            nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
-            e = frozenset((cur, nxt))
-            if e in used:
-                break
-            used.add(e)
-            path.append(nxt)
-            prev, cur = cur, nxt
+    def walk(prev: int, cur: int) -> list[int]:
+        path = [prev, cur]
+        while len(nbrs[cur]) == 2 and not seen[cur]:
+            seen[cur] = True
+            a, b = nbrs[cur]
+            prev, cur = cur, b if a == prev else a
+            path.append(cur)
         return path
 
-    terminals = sorted(p for p in pixels if len(nbrs[p]) != 2)
-    for t in terminals:
-        for n in nbrs[t]:
-            if frozenset((t, n)) not in used:
-                chains.append((walk(t, n), False))
-    # remaining degree-2 structures are cycles
-    for p in sorted(pixels):
-        if len(nbrs[p]) != 2:
+    paths = []
+    for t, around in enumerate(nbrs):
+        if len(around) == 2:
             continue
-        for n in nbrs[p]:
-            if frozenset((p, n)) not in used:
-                path = walk(p, n)
-                closed = len(path) >= 3 and path[-1] in nbrs[path[0]]
-                chains.append((path, closed))
-                break
-    return chains
+        for n in around:
+            if not seen[n] and (len(nbrs[n]) == 2 or n > t):
+                paths.append(walk(t, n))
+    for p, around in enumerate(nbrs):
+        if len(around) == 2 and not seen[p]:
+            seen[p] = True  # the walk around the cycle stops back here
+            paths.append(walk(p, around[0]))
+    return paths
 
 
 def canny(
     img: ScalarImage,
     sigma: float = 1.2,
-    high_percentile: float = 90.0,
+    high_percentile: float = 95.0,
     low_fraction: float = 0.4,
 ) -> EdgeSet:
     """Edge chains with sub-pixel point positions.
@@ -176,9 +164,13 @@ def canny(
         return EdgeSet([], img.width, img.height)
 
     final = _grow8(nms >= hi, nms >= lo)
-    traced = _trace_chains(final)
+    paths = _trace_chains(final)
+    if not paths:  # isolated pixels only
+        return EdgeSet([], img.width, img.height)
 
-    y, x = np.array([p for path, _ in traced for p in path], dtype=int).reshape(-1, 2).T
+    ys, xs = np.nonzero(final)
+    idx = np.concatenate(paths)
+    y, x = ys[idx], xs[idx]
     dy, dx = np.array([_SECTOR_STEP[k] for k in range(4)])[sector[y, x]].T
     padded = np.pad(mag, 1, constant_values=np.nan)  # no peak next to the border
     a, c, b = padded[y - dy + 1, x - dx + 1], mag[y, x], padded[y + dy + 1, x + dx + 1]
@@ -190,8 +182,8 @@ def canny(
     delta = np.zeros(len(y))
     delta[peak] = np.clip((a - b)[peak] / (2.0 * den[peak]), -0.49, 0.49)
     pts = np.column_stack([x + delta * dx, y + delta * dy])
-    ends = np.cumsum([len(path) for path, _ in traced])[:-1]
-    chains = [EdgeChain(p, closed) for p, (_, closed) in zip(np.split(pts, ends), traced)]
+    ends = np.cumsum([len(path) for path in paths])[:-1]
+    chains = [EdgeChain(p) for p in np.split(pts, ends)]
     return EdgeSet(chains, img.width, img.height)
 
 
@@ -286,7 +278,8 @@ def _merge_chains(chains: list[EdgeChain], merge_dist: float) -> list[EdgeChain]
     endpoints i and j only turns the far ends of their chains into the
     ends of the new chain.  `other[e]`, the live endpoint at the far end
     of e's chain, is therefore rewired at those two ends only, and i and
-    j lie on one chain exactly when `other[i] == j`.
+    j lie on one chain exactly when `other[i] == j`.  Keyed by its head
+    endpoint, a live chain needs no id: e is a head when `e in points`.
     """
     open_chains = [c for c in chains if not c.closed]
     closed_chains = [c for c in chains if c.closed]
@@ -306,30 +299,20 @@ def _merge_chains(chains: list[EdgeChain], merge_dist: float) -> list[EdgeChain]
             dist,
         ))
 
-        points = {k: c.points for k, c in enumerate(open_chains)}
-        n_ends = 2 * len(open_chains)
-        owner = [e // 2 for e in range(n_ends)]  # endpoint -> chain
-        side = [e % 2 for e in range(n_ends)]    # 0 head, 1 tail
-        other = [e ^ 1 for e in range(n_ends)]   # live endpoint at the far end
-        alive = [True] * n_ends
-        next_id = len(open_chains)
+        points = {2 * k: c.points for k, c in enumerate(open_chains)}
+        other = [e ^ 1 for e in range(2 * len(open_chains))]  # live endpoint at the far end
+        alive = [True] * len(other)
         for i, j in zip(first[rank].tolist(), second[rank].tolist()):
             if not (alive[i] and alive[j]) or other[i] == j:
                 continue
-            a = points.pop(owner[i])
-            b = points.pop(owner[j])
-            if side[i] == 0:
-                a = a[::-1]
-            if side[j] == 1:
-                b = b[::-1]
-            points[next_id] = np.concatenate([a, b])
-            alive[i] = alive[j] = False
+            a = points.pop(i)[::-1] if i in points else points.pop(other[i])  # ends at i
+            b = points.pop(j) if j in points else points.pop(other[j])[::-1]  # starts at j
             head, tail = other[i], other[j]  # survivors of chains i and j
-            owner[head] = owner[tail] = next_id
-            side[head], side[tail] = 0, 1
+            points[head] = np.concatenate([a, b])
+            alive[i] = alive[j] = False
             other[head], other[tail] = tail, head
-            next_id += 1
-        open_chains = [EdgeChain(points[k], False) for k in sorted(points)]
+        # unmerged chains in input order, then merged ones in creation order
+        open_chains = [EdgeChain(p, False) for p in points.values()]
     return open_chains + closed_chains
 
 

@@ -35,21 +35,6 @@ class MatchResult:
     warning: str | None = None
 
 
-def _overlap_count(edge_bits: np.ndarray, dilated: np.ndarray, dx: int, dy: int) -> int:
-    """Edge pixels covered by the dilated mask translated by (dx, dy)."""
-    h, w = edge_bits.shape
-    ys0, ys1 = max(0, dy), min(h, h + dy)
-    xs0, xs1 = max(0, dx), min(w, w + dx)
-    if ys0 >= ys1 or xs0 >= xs1:
-        return 0
-    return int(
-        np.count_nonzero(
-            edge_bits[ys0:ys1, xs0:xs1]
-            & dilated[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
-        )
-    )
-
-
 def _masked_variance(pan: np.ndarray, mask: BinaryMask, dx: int, dy: int) -> float:
     """Variance of `pan` under `mask` translated by (dx, dy); inf when no
     pixel of the mask stays in the frame."""
@@ -76,6 +61,9 @@ def match_mask(
         raise EmptyMask("cannot match an empty mask")
     if (mask.height, mask.width) != (pan.height, pan.width):
         raise ValueError("mask and panchromatic image must share dimensions")
+    hw = int(half_window)
+    if hw < 0:
+        raise ValueError("half_window must be non-negative")
     edge_bits = rasterize(EdgeSet(edges.chains, pan.width, pan.height)).bits
     pan_data = pan.data.astype(np.float64)
     if not edge_bits.any():
@@ -87,25 +75,21 @@ def match_mask(
             tie_count=0,
             warning="empty edge set",
         )
-    dilated = dilate(mask, se).bits
+    # the score of (dx, dy) counts edge pixels (y, x) with the dilated mask
+    # set at (y - dy, x - dx); padding by hw keeps every such index inside
+    padded = np.pad(dilate(mask, se).bits, hw)
+    ey, ex = np.nonzero(edge_bits)
+    cols = ex - np.arange(-hw, hw + 1)[:, None] + hw  # one row per dx
+    scores = np.stack([
+        np.count_nonzero(padded[ey - dy + hw, cols], axis=1) for dy in range(-hw, hw + 1)
+    ])  # scores[dy + hw, dx + hw]
+    best_score = int(scores.max())
+    candidates = (np.argwhere(scores == best_score) - hw).tolist()  # ascending (dy, dx)
 
-    hw = int(half_window)
-    best_score = -1
-    candidates: list[tuple[int, int]] = []
-    for dy in range(-hw, hw + 1):
-        for dx in range(-hw, hw + 1):
-            s = _overlap_count(edge_bits, dilated, dx, dy)
-            if s > best_score:
-                best_score = s
-                candidates = [(dy, dx)]
-            elif s == best_score:
-                candidates.append((dy, dx))
-
-    tie_count = len(candidates)
     best = None
     best_var = math.inf
-    for dy, dx in candidates:  # already in ascending (dy, dx) order
+    for dy, dx in candidates:
         v = _masked_variance(pan_data, mask, dx, dy)
         if best is None or v < best_var:
             best, best_var = (dx, dy), v
-    return MatchResult(offset=best, score=best_score, variance=best_var, tie_count=tie_count)
+    return MatchResult(offset=best, score=best_score, variance=best_var, tie_count=len(candidates))

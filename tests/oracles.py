@@ -232,14 +232,64 @@ def naive_magnify(src: np.ndarray, factor: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
+_TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def set_trace_chains(final: np.ndarray) -> list[tuple[list[tuple[int, int]], bool]]:
+    """`edges._trace_chains` over a set of (y, x) pixel tuples, a neighbor
+    dict and a set of traced pixel pairs.
+
+    Paths start and end at pixels whose degree differs from 2 and are
+    walked through degree-2 pixels until a pair repeats; what remains
+    afterwards are pure cycles.  A chain counts as closed when its last
+    pixel neighbors its first.  Returns (path, closed) per chain.
+    """
+    pixels = {(int(y), int(x)) for y, x in zip(*np.nonzero(final))}
+    nbrs = {
+        (y, x): [(y + dy, x + dx) for dy, dx in _TRACE_ORDER if (y + dy, x + dx) in pixels]
+        for y, x in pixels
+    }
+    used: set[frozenset] = set()
+    chains = []
+
+    def walk(start, first):
+        path = [start, first]
+        used.add(frozenset((start, first)))
+        cur, prev = first, start
+        while len(nbrs[cur]) == 2:
+            nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
+            e = frozenset((cur, nxt))
+            if e in used:
+                break
+            used.add(e)
+            path.append(nxt)
+            prev, cur = cur, nxt
+        return path
+
+    for t in sorted(p for p in pixels if len(nbrs[p]) != 2):
+        for n in nbrs[t]:
+            if frozenset((t, n)) not in used:
+                chains.append((walk(t, n), False))
+    for p in sorted(pixels):
+        if len(nbrs[p]) != 2:
+            continue
+        for n in nbrs[p]:
+            if frozenset((p, n)) not in used:
+                path = walk(p, n)
+                closed = len(path) >= 3 and path[-1] in nbrs[path[0]]
+                chains.append((path, closed))
+                break
+    return chains
+
+
+def pointwise_canny(img, sigma=1.2, high_percentile=95.0, low_fraction=0.4):
     """`edges.canny` with the sub-pixel offset computed pixel by pixel.
 
-    Smoothing, gradient, suppression and tracing are the package's own
-    helpers; hysteresis and the per-point loop are independent.
+    Smoothing, gradient and suppression are the package's own helpers;
+    hysteresis, tracing and the per-point loop are independent.
     Returns (points, closed) per chain.
     """
-    from cartoseg.edges import _SECTOR_STEP, _gaussian_blur, _sobel_pair, _trace_chains
+    from cartoseg.edges import _SECTOR_STEP, _gaussian_blur, _sobel_pair
     from cartoseg.morph import _neighbor_planes
 
     smooth = _gaussian_blur(img.data.astype(np.float64), sigma)
@@ -257,7 +307,7 @@ def pointwise_canny(img, sigma=1.2, high_percentile=90.0, low_fraction=0.4):
         return []
     h, w = mag.shape
     chains = []
-    for path, closed in _trace_chains(bfs_hysteresis(nms, hi, low_fraction * hi)):
+    for path, closed in set_trace_chains(bfs_hysteresis(nms, hi, low_fraction * hi)):
         pts = np.empty((len(path), 2), dtype=np.float64)
         for i, (y, x) in enumerate(path):
             dy, dx = _SECTOR_STEP[int(sector[y, x])]

@@ -12,12 +12,14 @@ from cartoseg.edges import (
     _merge_chains,
     _smooth_chain,
     _sobel_pair,
+    _trace_chains,
     canny,
     from_json,
     rasterize,
     refine_edges,
     to_json,
 )
+from cartoseg.pipeline import PipelineConfig
 from cartoseg.raster import FormatError, ScalarImage
 from oracles import (
     bresenham_rasterize,
@@ -25,6 +27,7 @@ from oracles import (
     loop_smooth_chain,
     pointwise_canny,
     pointwise_sobel,
+    set_trace_chains,
 )
 
 
@@ -87,7 +90,7 @@ class TestCanny:
         gx, gy = _sobel_pair(_gaussian_blur(data, 1.0))
         mag = np.hypot(gx, gy)
         nz = mag[mag > 0]
-        low = 0.4 * float(np.percentile(nz, 90.0))
+        low = 0.4 * float(np.percentile(nz, 95.0))  # canny's default thresholds
         for c in es.chains:
             for x, y in c.points:
                 assert mag[int(round(y)), int(round(x))] >= low - 1e-9
@@ -95,6 +98,68 @@ class TestCanny:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             canny(step_image(), sigma=0.0)
+
+    def test_default_thresholds_are_the_pipelines(self):
+        """The library defaults and the pipeline defaults detect one edge set."""
+        rng = np.random.default_rng(7)
+        img = ScalarImage(rng.uniform(0, 255, (24, 24)))
+        cfg = PipelineConfig()
+        want = canny(img, cfg.canny_sigma, cfg.canny_high_percentile, cfg.canny_low_fraction)
+        assert to_json(canny(img)) == to_json(want)
+
+    def test_isolated_pixels_give_no_chain(self):
+        """Hysteresis keeps pixels of this frame, none of them adjacent."""
+        assert canny(ScalarImage(np.array([[136, 91, 172, 146]], dtype=np.uint8))).chains == []
+
+
+def trace(bits):
+    """`_trace_chains` of a pixel set given as (y, x) pairs, as (y, x) paths."""
+    final = np.zeros((8, 8), dtype=bool)
+    for y, x in bits:
+        final[y, x] = True
+    return traced_pixels(final)
+
+
+def traced_pixels(final):
+    ys, xs = np.nonzero(final)
+    return [[(int(ys[k]), int(xs[k])) for k in path] for path in _trace_chains(final)]
+
+
+class TestTraceChains:
+    """Mutants these kill: `n > t` flipped or dropped, and the cycle's
+    first pixel not marked before its walk."""
+
+    DIAMOND = [(0, 1), (1, 0), (1, 2), (2, 1)]  # every pixel has degree 2
+
+    def test_ring_is_one_open_path_back_to_its_start(self):
+        assert trace(self.DIAMOND) == [[(0, 1), (1, 0), (2, 1), (1, 2), (0, 1)]]
+
+    def test_loop_hanging_off_a_terminal(self):
+        assert trace(self.DIAMOND + [(3, 1)]) == [
+            [(2, 1), (3, 1)],
+            [(2, 1), (1, 0), (0, 1), (1, 2), (2, 1)],
+        ]
+
+    def test_adjacent_terminals_share_one_path(self):
+        assert trace([(0, 0), (0, 1)]) == [[(0, 0), (0, 1)]]
+        # a 2 x 2 block: four junctions, each pair adjacent, six paths
+        assert trace([(0, 0), (0, 1), (1, 0), (1, 1)]) == [
+            [(0, 0), (0, 1)], [(0, 0), (1, 0)], [(0, 0), (1, 1)],
+            [(0, 1), (1, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)],
+        ]
+
+    def test_isolated_pixels_and_empty_frame_give_no_path(self):
+        assert trace([(0, 0), (0, 2), (5, 5)]) == []
+        assert trace([]) == []
+        assert _trace_chains(np.zeros((0, 3), dtype=bool)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                  elements=st.booleans(), fill=st.nothing()))
+    def test_equals_pixel_set_oracle(self, final):
+        want = set_trace_chains(final)
+        assert not any(closed for _, closed in want)  # cycles come out open
+        assert traced_pixels(final) == [path for path, _ in want]
 
 
 class TestRefineEdges:
@@ -207,6 +272,16 @@ class TestMergeChains:
         for c, (points, closed) in zip(got, want):
             assert c.closed == closed
             assert np.array_equal(c.points, points)
+
+    def test_merged_chains_follow_unmerged_ones(self):
+        """Kills `sorted(points)` over the head-endpoint keys, which would
+        put the merged chain, keyed 0, before the unmerged one, keyed 4."""
+        a, b, c = chain([(0, 0), (4, 0)]), chain([(5, 0), (9, 0)]), chain([(0, 20), (4, 20)])
+        got = _merge_chains([a, b, c], 3.0)
+        assert [g.points.tolist() for g in got] == [
+            [[0, 20], [4, 20]],
+            [[0, 0], [4, 0], [5, 0], [9, 0]],
+        ]
 
 
 class TestChainStepInvariant:

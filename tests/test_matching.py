@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cartoseg.edges import EdgeChain, EdgeSet, rasterize
 from cartoseg.matching import match_mask
@@ -33,6 +35,12 @@ class TestBasics:
         res = match_mask(mask, EdgeSet([], 8, 8), ScalarImage(np.zeros((8, 8))), half_window=3)
         assert res.offset == (0, 0) and res.score == 0
         assert res.warning is not None
+
+    def test_negative_half_window_raises(self):
+        mask = mask_at((16, 16), [(8, 8)])
+        es = EdgeSet([chain([(1, 1), (5, 1)])], 16, 16)
+        with pytest.raises(ValueError, match="half_window must be non-negative"):
+            match_mask(mask, es, ScalarImage(np.zeros((16, 16))), half_window=-1)
 
     def test_dimension_mismatch(self):
         mask = mask_at((8, 8), [(4, 4)])
@@ -159,3 +167,33 @@ class TestEquivariance:
         a = match_mask(mask, es, pan, half_window=3, se=SQ1)
         b = match_mask(mask, es, pan, half_window=3, se=SQ1)
         assert a == b
+
+
+def _square_pair(n):
+    frame = arrays(bool, (n, n), elements=st.booleans(), fill=st.nothing())
+    return st.tuples(frame, frame)
+
+
+_frame_pair = st.integers(1, 10).flatmap(_square_pair)  # (mask, edge pixels)
+
+
+class TestScoreOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_frame_pair, st.integers(0, 12))
+    def test_equals_recount_per_offset(self, frames, half_window):
+        """Windows wider than the frame included; a zero pan leaves the
+        tie-break to in-frame placement, then to the smallest (dy, dx)."""
+        mask_bits, edge_pixels = frames
+        assume(mask_bits.any() and edge_pixels.any())
+        n = len(mask_bits)
+        es = EdgeSet([chain([(x, y), (x, y)]) for y, x in zip(*np.nonzero(edge_pixels))], n, n)
+        pan = np.zeros((n, n))
+        res = match_mask(BinaryMask(mask_bits), es, ScalarImage(pan), half_window, se=SQ1)
+        scores = naive_match_scores(edge_pixels, dilate(BinaryMask(mask_bits), SQ1).bits,
+                                    half_window)
+        best = max(scores.values())
+        tied = sorted((dy, dx) for (dx, dy), v in scores.items() if v == best)
+        variances = [naive_masked_variance(pan, mask_bits, dx, dy) for dy, dx in tied]
+        dy, dx = tied[variances.index(min(variances))]
+        assert (res.score, res.tie_count, res.offset) == (best, len(tied), (dx, dy))
+        assert res.variance == min(variances)
