@@ -6,8 +6,10 @@ clutter)`` into ``<out>/noise_<level>/corpus``, runs the pipeline on it with
 the default configuration into ``<out>/noise_<level>/results`` (where
 ``report.json`` holds every number printed), and prints per stage the
 category counts and the mean and minimum IoU over the scenes that reached
-the stage, then the extract - match gain in mean IoU and one summary line
-per object model.
+the stage, then the extract - match gain in mean IoU, one summary line
+per object model, and per kind the truth-graph recovery: in how many scenes
+the graph of the decomposed truth mask is isomorphic to the generator's
+truth graph, and the mean normalized MCS distance between the two.
 
 Examples (the acceptance corpus, then a noise ladder):
     python scripts/quality.py --n 20 --seed 44 --levels 8 --out runs/acceptance
@@ -21,8 +23,10 @@ import sys
 import time
 from pathlib import Path
 
-from cartoseg.pipeline import CATEGORIES, STAGES, PipelineConfig, run_pipeline
-from cartoseg.synth import corpus_specs, write_corpus
+from cartoseg.graphs import graph_distance, is_isomorphic
+from cartoseg.pipeline import CATEGORIES, STAGES, PipelineConfig, run_pipeline, shape_graph
+from cartoseg.raster import read_mask
+from cartoseg.synth import corpus_specs, load_truth, write_corpus
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,9 +43,10 @@ def main(argv: list[str] | None = None) -> int:
     for level in args.levels:
         out = Path(args.out) / f"noise_{level:g}"
         specs = corpus_specs(args.n, args.n, seed=args.seed, noise=level, clutter=args.clutter)
-        write_corpus(out / "corpus", specs)
+        manifest = write_corpus(out / "corpus", specs)
         t0 = time.perf_counter()
-        report = run_pipeline(PipelineConfig(corpus=str(out / "corpus"), out=str(out / "results")))
+        cfg = PipelineConfig(corpus=str(out / "corpus"), out=str(out / "results"))
+        report = run_pipeline(cfg)
         print(f"noise {level:g}: {len(specs)} scenes in {time.perf_counter() - t0:.1f} s")
         print(f"{'stage':<9}" + "".join(f"{c:>12}" for c in CATEGORIES)
               + f"{'scored':>8}{'mean IoU':>10}{'min IoU':>10}")
@@ -64,6 +69,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"bounds {info['max_csg_size']}/{info['min_csg_size']} vertices, "
                 f"mean training distance {sum(dists) / len(dists):.6f}"
             )
+        recovery = {}
+        for spec, entry in zip(specs, manifest["scenes"]):
+            _, _, truth = load_truth(out / "corpus" / entry["files"]["truth"])
+            g = shape_graph(read_mask(out / "corpus" / entry["files"]["truth_mask"]), spec.pan_res, cfg)
+            recovery.setdefault(spec.kind, []).append((is_isomorphic(g, truth), graph_distance(g, truth)))
+        for kind, rows in sorted(recovery.items()):
+            print(f"truth[{kind}]: {sum(iso for iso, _ in rows)}/{len(rows)} isomorphic, "
+                  f"mean distance {sum(d for _, d in rows) / len(rows):.6f}")
         print()
     return 0
 

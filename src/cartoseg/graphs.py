@@ -6,8 +6,7 @@ form an attributed relational graph, and a set of such graphs yields an
 object model: the maximal common subgraph and minimal common supergraph
 of its prototypes.  Scoring uses the normalized maximal-common-subgraph
 distance 1 - |mcs| / max(|g1|, |g2|) against the nearest prototype.
-Rectangles remain a primitive kind only because the scene generator
-writes its truth graphs with them.
+The scene generator writes its truth graphs in the same two primitives.
 
 Common-subgraph semantics here are *induced*: a vertex pairing is valid
 only when each mapped pair of vertices agrees on edge presence and edge
@@ -44,34 +43,22 @@ class EmptyInput(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _mod_pi(angle: float) -> float:
-    a = angle % math.pi
-    return a if a < math.pi else 0.0
-
-
 @dataclass(frozen=True)
 class Primitive:
     """A geometric building block, all lengths in meters.
 
-    circle:    center, radius
-    segment:   endpoints (length/orientation derived)
-    rectangle: center, width (extent along ``orientation``), height; in
-               the scene generator's truth graphs only
+    circle:  center, radius
+    segment: endpoints, with center their midpoint (length and
+             orientation derived)
     """
 
     kind: str
     center: tuple[float, float]
-    width: float = 0.0
-    height: float = 0.0
     radius: float = 0.0
-    orientation: float = 0.0
     endpoints: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "rectangle":
-            if self.width <= 0 or self.height <= 0:
-                raise ValueError("rectangle needs positive width and height")
-        elif self.kind == "circle":
+        if self.kind == "circle":
             if self.radius <= 0:
                 raise ValueError("circle needs a positive radius")
         elif self.kind == "segment":
@@ -79,7 +66,6 @@ class Primitive:
                 raise ValueError("segment needs two distinct endpoints")
         else:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
-        object.__setattr__(self, "orientation", _mod_pi(self.orientation))
 
     @property
     def length(self) -> float:
@@ -88,12 +74,21 @@ class Primitive:
         (x1, y1), (x2, y2) = self.endpoints
         return math.hypot(x2 - x1, y2 - y1)
 
+    @property
+    def orientation(self) -> float:
+        """A segment's direction in [0, pi), whichever end comes first; 0 for
+        a circle."""
+        if self.endpoints is None:
+            return 0.0
+        # from the end with the lower (y, x): the angle lies in [0, pi]
+        (x1, y1), (x2, y2) = sorted(self.endpoints, key=lambda e: (e[1], e[0]))
+        theta = math.atan2(y2 - y1, x2 - x1)
+        return theta if theta < math.pi else 0.0
+
 
 def make_segment(p1: tuple[float, float], p2: tuple[float, float]) -> Primitive:
-    cx = (p1[0] + p2[0]) / 2.0
-    cy = (p1[1] + p2[1]) / 2.0
-    theta = _mod_pi(math.atan2(p2[1] - p1[1], p2[0] - p1[0]))
-    return Primitive("segment", (cx, cy), orientation=theta, endpoints=(tuple(p1), tuple(p2)))
+    center = ((p1[0] + p2[0]) / 2.0, (p1[1] + p2[1]) / 2.0)
+    return Primitive("segment", center, endpoints=(tuple(p1), tuple(p2)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,53 +294,23 @@ def _boundary_samples(p: Primitive, n: int = 64) -> np.ndarray:
         return np.stack(
             [p.center[0] + p.radius * np.cos(t), p.center[1] + p.radius * np.sin(t)], axis=1
         )
-    if p.kind == "segment":
-        a = np.array(p.endpoints[0])
-        b = np.array(p.endpoints[1])
-        t = np.linspace(0.0, 1.0, max(2, n // 2))[:, None]
-        return a[None, :] * (1 - t) + b[None, :] * t
-    c, s = math.cos(p.orientation), math.sin(p.orientation)
-    u = np.array([c, s])
-    v = np.array([-s, c])
-    hw, hh = p.width / 2.0, p.height / 2.0
-    t = np.linspace(-1.0, 1.0, max(2, n // 4))
-    center = np.array(p.center)
-    sides = [
-        center + hw * t[:, None] * u + hh * v,
-        center + hw * t[:, None] * u - hh * v,
-        center + hw * u + hh * t[:, None] * v,
-        center - hw * u + hh * t[:, None] * v,
-    ]
-    return np.concatenate(sides)
+    a = np.array(p.endpoints[0])
+    b = np.array(p.endpoints[1])
+    t = np.linspace(0.0, 1.0, max(2, n // 2))[:, None]
+    return a[None, :] * (1 - t) + b[None, :] * t
 
 
 def _near_end(p: Primitive, pt: np.ndarray, tol: float) -> bool:
     """Is a boundary point within ``tol`` of one of the primitive's ends?
-
-    Segment ends are its endpoints; rectangle ends are the two short
-    faces (anywhere along them); circles have no ends.
-    """
-    if p.kind == "segment":
-        return any(
-            math.hypot(pt[0] - e[0], pt[1] - e[1]) <= tol for e in p.endpoints
-        )
-    if p.kind == "rectangle":
-        c, s = math.cos(p.orientation), math.sin(p.orientation)
-        proj = (pt[0] - p.center[0]) * c + (pt[1] - p.center[1]) * s
-        return abs(proj) >= p.width / 2.0 - tol
-    return False
+    Segment ends are its endpoints; circles have no ends."""
+    return p.kind == "segment" and any(
+        math.hypot(pt[0] - e[0], pt[1] - e[1]) <= tol for e in p.endpoints
+    )
 
 
 def _contains(p: Primitive, pt: np.ndarray) -> bool:
     """Strict interior test; segments have no interior."""
-    if p.kind == "circle":
-        return math.hypot(pt[0] - p.center[0], pt[1] - p.center[1]) < p.radius - 1e-9
-    if p.kind == "rectangle":
-        c, s = math.cos(p.orientation), math.sin(p.orientation)
-        rx = (pt[0] - p.center[0]) * c + (pt[1] - p.center[1]) * s
-        ry = -(pt[0] - p.center[0]) * s + (pt[1] - p.center[1]) * c
-        return abs(rx) < p.width / 2.0 - 1e-9 and abs(ry) < p.height / 2.0 - 1e-9
-    return False
+    return p.kind == "circle" and math.hypot(pt[0] - p.center[0], pt[1] - p.center[1]) < p.radius - 1e-9
 
 
 def _cross(o, a, b) -> float:

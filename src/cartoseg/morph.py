@@ -3,7 +3,8 @@ and the package's one connected-component labeller.
 
 All operations clip at the image frame (no wraparound) and treat masks as
 immutable.  The skeleton uses Zhang-Suen style iterative thinning with
-8-connectivity, which keeps component counts and endpoints stable.
+8-connectivity, and restores one pixel of any component the thinning
+deleted, so component counts stay stable.
 """
 
 from __future__ import annotations
@@ -83,11 +84,13 @@ def _neighbor_planes(img: np.ndarray, mode: str = "constant"):
 
 
 def skeletonize(m: BinaryMask) -> BinaryMask:
-    """Iterative two-subcycle thinning to a 1-pixel-wide skeleton."""
+    """Iterative two-subcycle thinning to a 1-pixel-wide skeleton that
+    keeps every 8-connected component of the input."""
     if m.is_empty():
         raise EmptyMask("cannot skeletonize an empty mask")
     img = m.bits.copy()
-    while True:
+    changed = True
+    while changed:
         changed = False
         for step in (0, 1):
             p2, p3, p4, p5, p6, p7, p8, p9 = _neighbor_planes(img)
@@ -102,8 +105,14 @@ def skeletonize(m: BinaryMask) -> BinaryMask:
             if cond.any():
                 img &= ~cond
                 changed = True
-        if not changed:
-            return BinaryMask(img)
+    # the parallel subcycles can delete a whole two-pixel-thick component:
+    # each component they emptied gets back its first pixel in row-major order
+    labels, count = label_components(m.bits)
+    lost = np.bincount(labels[img], minlength=count + 1) == 0
+    ys, xs = np.nonzero(lost[labels] & m.bits)
+    _, first = np.unique(labels[ys, xs], return_index=True)
+    img[ys[first], xs[first]] = True
+    return BinaryMask(img)
 
 
 def prune_spurs(m: BinaryMask, length: int) -> BinaryMask:

@@ -234,12 +234,11 @@ def _parse_header(raw: bytes):
     return magic, width, height, maxval, resolution, pos
 
 
-def read_raster(path, resolution: float | None = None):
+def read_raster(path):
     """Read a binary PGM (-> ScalarImage) or PPM (-> MultiSpectralImage).
 
     Only 8-bit data (maxval 255) is supported.  Resolution comes from the
-    optional ``# resolution <r> m/px`` header comment, overridden by the
-    ``resolution`` argument, defaulting to 1.0.
+    optional ``# resolution <r> m/px`` header comment, defaulting to 1.0.
     """
     raw = Path(path).read_bytes()
     magic, width, height, maxval, file_res, off = _parse_header(raw)
@@ -254,7 +253,7 @@ def read_raster(path, resolution: float | None = None):
     payload = raw[off : off + need]
     if len(payload) < need:
         raise FormatError("truncated payload")
-    res = resolution if resolution is not None else (file_res or 1.0)
+    res = file_res or 1.0
     arr = np.frombuffer(payload, dtype=np.uint8)
     if channels == 1:
         return ScalarImage(arr.reshape(height, width).copy(), res)

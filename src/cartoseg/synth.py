@@ -9,10 +9,14 @@ window is shifted by the injected offset, which reproduces the bounded
 misregistration between the two sources.  Everything derives from the
 spec's seed, so identical specs give bit-identical rasters.
 
-Bridges are a main road crossing a river, with a second road running along
-the far bank; roundabouts are a ring road around a vegetated island with
-four arms.  Building-like clutter rectangles are bright in both sources
-and spectrally road-like, placed near but never touching the object.
+Bridges are a main road crossing a river at right angles, with a second
+road running along the far bank; roundabouts are a ring road around a
+vegetated island with four arms.  Building-like clutter blocks are bright
+in both sources and spectrally road-like, placed near but never touching
+the object.  The truth is the object mask in the panchromatic frame and
+the graph of what that mask shows, in the primitives `graphs.decompose`
+reads off a skeleton: a circle for the ring, and segments along each road
+axis, cut at crossings and at the frame's edge.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ class SceneSpec:
     # orientations still leave spectrally pure blocks for the seed threshold
     road_width_m: float = 30.0
     circle_radius_m: float = 32.0      # ring centerline radius (roundabout)
-    crossing_angle: float = math.pi / 2  # river direction relative to the main road
     main_angle: float | None = None    # absolute bearing; None draws it from the seed
     offset: tuple[int, int] = (0, 0)   # (dx, dy), panchromatic pixels
     noise: float = 0.0                 # gray-level std of the additive noise
@@ -121,46 +124,41 @@ def _box_downsample(canvas: np.ndarray, factor: int) -> np.ndarray:
     return canvas.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
+def _axis(p, d, lo, hi, cut: float = -math.inf, t0: float = -math.inf) -> list[Primitive]:
+    """The road axis p + t*d, t >= t0, clipped to the box [lo, hi] (Liang &
+    Barsky, CVGIP 3(1), 1984) and cut at t = cut, as segments."""
+    t1 = math.inf
+    for k in (0, 1):
+        if d[k]:
+            a, b = sorted(((lo[k] - p[k]) / d[k], (hi[k] - p[k]) / d[k]))
+            t0, t1 = max(t0, a), min(t1, b)
+        elif not lo[k] <= p[k] <= hi[k]:
+            return []
+    ends = [(p[0] + t * d[0], p[1] + t * d[1]) for t in sorted({t0, cut, t1}) if t0 <= t <= t1]
+    return [make_segment(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def _truth_primitives(spec: SceneSpec, main_angle: float) -> list[Primitive]:
-    """Analytic primitives in meters, origin at the object center."""
-    extent = spec.pan_size * spec.pan_res / 2.0  # frame half-extent
-    w = spec.road_width_m
+    """The primitives the truth mask shows, in meters, origin at the object
+    center, in the vocabulary `decompose` reads off a skeleton: the ring is
+    a circle, and each road axis is segments, cut where it crosses another
+    road and at the edge of the frame the mask covers."""
+    half = spec.pan_size / 2.0
+    ox, oy = spec.offset
+    lo = ((-half - ox) * spec.pan_res, (-half - oy) * spec.pan_res)
+    hi = ((half - ox) * spec.pan_res, (half - oy) * spec.pan_res)
+    u = (math.cos(main_angle), math.sin(main_angle))
+    v = (-u[1], u[0])
     if spec.kind == "roundabout":
-        prims = [Primitive("circle", (0.0, 0.0), radius=spec.circle_radius_m)]
-        for k in range(4):
-            a = main_angle + k * math.pi / 2.0
-            inner = (spec.circle_radius_m * math.cos(a), spec.circle_radius_m * math.sin(a))
-            outer = (extent * math.cos(a), extent * math.sin(a))
-            prims.append(make_segment(inner, outer))
-        return prims
-    t1 = main_angle
-    tr = main_angle + spec.crossing_angle
-    sin_c = abs(math.sin(spec.crossing_angle)) or 1.0
-    deck_len = _RIVER_WIDTH_M / sin_c + w
-    app_len = max(extent - deck_len / 2.0, w)
-    u = (math.cos(t1), math.sin(t1))
-    deck = Primitive("rectangle", (0.0, 0.0), width=deck_len, height=w, orientation=t1)
-    offs = deck_len / 2.0 + app_len / 2.0
-    approaches = [
-        Primitive(
-            "rectangle",
-            (s * offs * u[0], s * offs * u[1]),
-            width=app_len,
-            height=w,
-            orientation=t1,
-        )
-        for s in (1, -1)
-    ]
-    d_sec = _RIVER_WIDTH_M / 2.0 + _SECONDARY_GAP_M + w / 2.0
-    n_r = (-math.sin(tr), math.cos(tr))
-    secondary = Primitive(
-        "rectangle",
-        (n_r[0] * d_sec, n_r[1] * d_sec),
-        width=2.0 * extent,
-        height=w,
-        orientation=tr,
-    )
-    return [deck, approaches[0], approaches[1], secondary]
+        arms = (u, v, (-u[0], -u[1]), (-v[0], -v[1]))
+        return [Primitive("circle", (0.0, 0.0), radius=spec.circle_radius_m)] + [
+            s for d in arms for s in _axis((0.0, 0.0), d, lo, hi, t0=spec.circle_radius_m)
+        ]
+    # the secondary road runs along the far bank, at right angles to the
+    # main road, and crosses its axis at -d_sec * u
+    d_sec = _RIVER_WIDTH_M / 2.0 + _SECONDARY_GAP_M + spec.road_width_m / 2.0
+    crossing = (-d_sec * u[0], -d_sec * u[1])
+    return _axis((0.0, 0.0), u, lo, hi, cut=-d_sec) + _axis(crossing, v, lo, hi, cut=0.0)
 
 
 def generate_scene(spec: SceneSpec):
@@ -179,7 +177,7 @@ def generate_scene(spec: SceneSpec):
     island = np.zeros((big, big), dtype=bool)
     if spec.kind == "bridge":
         t1 = main_angle
-        tr = main_angle + spec.crossing_angle
+        tr = main_angle + math.pi / 2  # the river crosses at right angles
         main_road = _bar(yy, xx, cx, cy, t1, w_px)
         river = _bar(yy, xx, cx, cy, tr, _RIVER_WIDTH_M / spec.pan_res)
         d_sec = (_RIVER_WIDTH_M / 2.0 + _SECONDARY_GAP_M + spec.road_width_m / 2.0) / spec.pan_res

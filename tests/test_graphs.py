@@ -88,8 +88,8 @@ class TestArgType:
 
 class TestPrimitives:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Primitive("rectangle", (0, 0), width=0, height=2)
+        with pytest.raises(ValueError, match="unknown primitive kind"):
+            Primitive("rectangle", (0, 0))
         with pytest.raises(ValueError):
             Primitive("circle", (0, 0), radius=-1)
         with pytest.raises(ValueError):
@@ -97,10 +97,21 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             make_segment((1, 1), (1, 1))
 
-    def test_orientation_normalized(self):
-        p = Primitive("rectangle", (0, 0), width=2, height=1, orientation=math.pi + 0.3)
-        assert 0 <= p.orientation < math.pi
-        assert p.orientation == pytest.approx(0.3)
+    @pytest.mark.parametrize("p1, p2, want", [
+        ((0.0, 0.0), (2.0, 0.0), 0.0),
+        ((0.0, 0.0), (1.0, 1.0), math.pi / 4),
+        ((0.0, 0.0), (0.0, 3.0), math.pi / 2),
+        ((0.0, 0.0), (-1.0, 1.0), 3 * math.pi / 4),
+        ((0.0, 0.0), (1.0, -1e-300), 0.0),  # atan2 of the reverse rounds to pi
+        ((5.0, 1.0), (2.0, 1.0 + math.tan(0.3) * 3.0), math.pi - 0.3),
+    ], ids=["E", "NE", "N", "SE", "atan2-rounds-to-pi", "wraps-past-pi"])
+    def test_orientation_from_endpoints(self, p1, p2, want):
+        """The direction in [0, pi), the same whichever end comes first."""
+        for seg in (make_segment(p1, p2), make_segment(p2, p1)):
+            assert 0.0 <= seg.orientation < math.pi
+            assert seg.orientation == pytest.approx(want, abs=1e-12)
+        assert make_segment(p1, p2).orientation == make_segment(p2, p1).orientation
+        assert Primitive("circle", p1, radius=1.0).orientation == 0.0
 
 
 def render_disk(shape, cy, cx, r):
@@ -273,10 +284,12 @@ class TestBuildArg:
         assert g.edges[0][2] == "overlap"
 
     def test_flank_contact_is_overlap(self):
-        a = Primitive("rectangle", (0.0, 0.0), width=20.0, height=4.0)
-        b = Primitive("rectangle", (0.0, 4.5), width=20.0, height=4.0)
+        """Parallel segments side by side touch along their flanks, where no
+        end is near the contact's centre."""
+        a = make_segment((0.0, 0.0), (20.0, 0.0))
+        b = make_segment((0.0, 0.5), (20.0, 0.5))
         g = build_arg([a, b], adjacency_tol=1.0)
-        assert g.edges[0][2] == "overlap"
+        assert g.edges == [(0, 1, "overlap", "N")]
 
 
 class TestMaxCommonSubgraph:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cartoseg.morph import (
@@ -160,6 +160,8 @@ class TestSkeletonize:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(229576)  # blobs the parallel thinning alone deletes whole
+    @example(529495)
     def test_subset_connectivity_thinness(self, seed):
         rng = np.random.default_rng(seed)
         bits = random_connected_mask(rng)

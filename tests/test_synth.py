@@ -5,10 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cartoseg.graphs import decompose
+from cartoseg.graphs import decompose, graph_distance
+from cartoseg.pipeline import PipelineConfig, shape_graph
 from cartoseg.raster import read_mask, read_raster, translate
 from cartoseg.spectral import band_combine
 from cartoseg.synth import (
+    _RIVER_WIDTH_M,
+    _SECONDARY_GAP_M,
     _TEXTURE_CELL,
     GroundTruth,
     SceneSpec,
@@ -114,7 +117,7 @@ class TestGenerateScene:
         _, _, truth = generate_scene(spec)
         prims = decompose(truth.mask, "skeleton", resolution=2.5)
         segs = [p for p in prims if p.kind == "segment" and p.length > 20.0]
-        want = {0.6 % math.pi, (0.6 + spec.crossing_angle) % math.pi}
+        want = {0.6 % math.pi, (0.6 + math.pi / 2) % math.pi}
         assert len(segs) >= 3
         for s in segs:
             diff = min(
@@ -123,12 +126,60 @@ class TestGenerateScene:
             assert diff < math.radians(5.0)
 
     def test_bridge_truth_arg_structure(self):
+        """Two road axes, each cut at their crossing: four segments that all
+        end there, so every pair is joined end to end."""
         spec = SceneSpec(kind="bridge", seed=5, main_angle=0.4)
         _, _, truth = generate_scene(spec)
         kinds = [k for _, k in truth.arg.vertices]
-        assert kinds == ["rectangle"] * 4
-        conns = sorted(e[2] for e in truth.arg.edges)
-        assert conns.count("end-to-end") == 2  # deck joins both approaches
+        assert kinds == ["segment"] * 4
+        assert sorted((a, b, conn) for a, b, conn, _ in truth.arg.edges) == [
+            (a, b, "end-to-end") for a in range(4) for b in range(a + 1, 4)
+        ]
+
+    @pytest.mark.parametrize("kind", ["bridge", "roundabout"])
+    @pytest.mark.parametrize("main_angle, offset", [
+        (0.4, (0, 0)), (0.0, (10, -10)), (math.pi / 2, (-7, 3)), (2.9, (4, 9)),
+    ])
+    def test_truth_segment_ends(self, kind, main_angle, offset):
+        """Every end of a truth segment lies on the edge of the frame the
+        mask covers (the pan frame shifted by the offset), on the crossing
+        of a bridge's two roads, or on a roundabout's ring."""
+        spec = SceneSpec(kind=kind, seed=1, main_angle=main_angle, offset=offset)
+        _, _, truth = generate_scene(spec)
+        res, half = spec.pan_res, spec.pan_size / 2
+        lo = ((-half - offset[0]) * res, (-half - offset[1]) * res)
+        hi = ((half - offset[0]) * res, (half - offset[1]) * res)
+        d_sec = _RIVER_WIDTH_M / 2 + _SECONDARY_GAP_M + spec.road_width_m / 2
+        crossing = (-d_sec * math.cos(main_angle), -d_sec * math.sin(main_angle))
+
+        def on_frame_edge(x, y):
+            inside = all(lo[k] - 1e-9 <= c <= hi[k] + 1e-9 for k, c in enumerate((x, y)))
+            return inside and min(abs(x - lo[0]), abs(x - hi[0]), abs(y - lo[1]), abs(y - hi[1])) < 1e-9
+
+        segs = [p for p in truth.primitives if p.kind == "segment"]
+        assert len(segs) == 4
+        for seg in segs:
+            for x, y in seg.endpoints:
+                if kind == "bridge":
+                    special = math.hypot(x - crossing[0], y - crossing[1]) < 1e-9
+                else:
+                    special = abs(math.hypot(x, y) - spec.circle_radius_m) < 1e-9
+                assert on_frame_edge(x, y) or special, (x, y)
+            assert on_frame_edge(*seg.endpoints[0]) != on_frame_edge(*seg.endpoints[1])
+
+    def test_acceptance_bridge_truth_graphs_match_their_masks(self):
+        """Each of the 20 bridges of the acceptance corpus has a truth graph
+        that shares part of its structure with its own mask's graph (the
+        normalized MCS distance is below 1), and the mean distance is at
+        most 0.40."""
+        specs = [s for s in corpus_specs(20, 20, seed=44, noise=8, clutter=2) if s.kind == "bridge"]
+        dists = []
+        for spec in specs:
+            _, _, truth = generate_scene(spec)
+            g = shape_graph(truth.mask, spec.pan_res, PipelineConfig())
+            dists.append(graph_distance(g, truth.arg))
+        assert len(dists) == 20 and max(dists) < 1.0
+        assert sum(dists) / len(dists) <= 0.40
 
     def test_roundabout_truth_arg_structure(self):
         spec = SceneSpec(kind="roundabout", seed=5, main_angle=0.3)
