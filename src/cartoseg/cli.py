@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import graphs, synth
 from .edges import EdgeSet, from_json as edges_from_json, to_json as edges_to_json
-from .morph import EmptyMask
+from .morph import EmptyMask, skeletonize
 from .pipeline import (
     PipelineConfig,
     detect_edges,
@@ -35,7 +35,6 @@ from .pipeline import (
     run_pipeline,
     segment_scene,
     shape_graph,
-    skeleton_marker,
 )
 from .raster import FormatError, read_mask, read_raster, write_raster
 from .spectral import EmptyCorpus
@@ -136,7 +135,7 @@ def _cmd_extract(a) -> int:
     pan = read_raster(a.pan)
     mask = read_mask(a.mask)
     es = _read_edges(a.edges, pan)
-    _, labels, obj = extract_scene(pan, mask, skeleton_marker(mask, cfg), es, cfg)
+    _, labels, obj = extract_scene(pan, mask, skeletonize(mask), es, cfg)
     out = Path(a.out)
     out.mkdir(parents=True, exist_ok=True)
     write_raster(obj, out / "object.pgm")

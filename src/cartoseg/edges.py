@@ -27,10 +27,10 @@ _SECTOR_STEP = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
 
 @dataclass(eq=False)
 class EdgeChain:
-    """Ordered polyline of (x, y) float coordinates in pixel units."""
+    """Ordered polyline of (x, y) float coordinates in pixel units; a ring
+    ends on its first point."""
 
     points: np.ndarray
-    closed: bool = False
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -39,10 +39,7 @@ class EdgeChain:
 
     def arc_length(self) -> float:
         d = np.diff(self.points, axis=0)
-        total = float(np.hypot(d[:, 0], d[:, 1]).sum())
-        if self.closed:
-            total += float(np.hypot(*(self.points[0] - self.points[-1])))
-        return total
+        return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
 @dataclass(eq=False)
@@ -194,22 +191,21 @@ def canny(
 
 def _smooth_chain(chain: EdgeChain, window: int) -> EdgeChain:
     """Each point becomes the mean of the points within ``window // 2`` of it,
-    summed in chain order as `mean(axis=0)` would.  A closed chain's window
-    wraps around; an open chain's stops at its ends, which stay put."""
+    summed in chain order as `mean(axis=0)` would.  The window stops at the
+    chain's ends, which stay put."""
     pts = chain.points
     n = len(pts)
     if window <= 1 or n < 3:
-        return EdgeChain(pts.copy(), chain.closed)
+        return EdgeChain(pts.copy())
     half = window // 2
     idx = np.arange(n)[:, None] + np.arange(-half, half + 1)
-    inside = chain.closed | ((idx >= 0) & (idx < n))
+    inside = (idx >= 0) & (idx < n)
     acc = np.zeros_like(pts)
     for col, ok in zip(idx.T % n, inside.T):
         np.add(acc, pts[col], out=acc, where=ok[:, None])
     out = acc / np.count_nonzero(inside, axis=1)[:, None]
-    if not chain.closed:
-        out[[0, -1]] = pts[[0, -1]]
-    return EdgeChain(out, chain.closed)
+    out[[0, -1]] = pts[[0, -1]]
+    return EdgeChain(out)
 
 
 # Upper bound on grid cells per axis.  Cells grow past `merge_dist` when the
@@ -259,7 +255,7 @@ def _candidate_pairs(
 
 
 def _merge_chains(chains: list[EdgeChain], merge_dist: float) -> list[EdgeChain]:
-    """Greedily concatenate open chains whose endpoints nearly touch.
+    """Greedily concatenate chains whose endpoints nearly touch.
 
     The closest endpoint pair merges first; exact ties resolve by the
     lexicographically smallest endpoint coordinates, so the result does
@@ -274,46 +270,43 @@ def _merge_chains(chains: list[EdgeChain], merge_dist: float) -> list[EdgeChain]
     scan of all pairs would find.  Each pair's distance is the same
     `hypot` of the same coordinate difference, so ranks and ties match.
 
-    Every open chain has exactly two live endpoints, and a merge of
-    endpoints i and j only turns the far ends of their chains into the
-    ends of the new chain.  `other[e]`, the live endpoint at the far end
-    of e's chain, is therefore rewired at those two ends only, and i and
-    j lie on one chain exactly when `other[i] == j`.  Keyed by its head
-    endpoint, a live chain needs no id: e is a head when `e in points`.
+    Every chain has exactly two live endpoints, and a merge of endpoints
+    i and j only turns the far ends of their chains into the ends of the
+    new chain.  `other[e]`, the live endpoint at the far end of e's chain,
+    is therefore rewired at those two ends only, and i and j lie on one
+    chain exactly when `other[i] == j`.  Keyed by its head endpoint, a
+    live chain needs no id: e is a head when `e in points`.
     """
-    open_chains = [c for c in chains if not c.closed]
-    closed_chains = [c for c in chains if c.closed]
-    if len(open_chains) > 1:
-        coords = np.concatenate(
-            [[c.points[0], c.points[-1]] for c in open_chains]
-        )  # endpoint 2k = head of chain k, 2k+1 = tail
-        first, second, dist = _candidate_pairs(coords, merge_dist)
-        # rank by (dist, smaller endpoint, larger endpoint, i, j), the
-        # endpoints compared lexicographically by (x, y)
-        (xi, yi), (xj, yj) = coords[first].T, coords[second].T
-        swap = (xj < xi) | ((xj == xi) & (yj < yi))
-        rank = np.lexsort((
-            second, first,
-            np.where(swap, yi, yj), np.where(swap, xi, xj),
-            np.where(swap, yj, yi), np.where(swap, xj, xi),
-            dist,
-        ))
+    if len(chains) < 2:
+        return chains
+    # endpoint 2k = head of chain k, 2k+1 = tail
+    coords = np.concatenate([[c.points[0], c.points[-1]] for c in chains])
+    first, second, dist = _candidate_pairs(coords, merge_dist)
+    # rank by (dist, smaller endpoint, larger endpoint, i, j), the
+    # endpoints compared lexicographically by (x, y)
+    (xi, yi), (xj, yj) = coords[first].T, coords[second].T
+    swap = (xj < xi) | ((xj == xi) & (yj < yi))
+    rank = np.lexsort((
+        second, first,
+        np.where(swap, yi, yj), np.where(swap, xi, xj),
+        np.where(swap, yj, yi), np.where(swap, xj, xi),
+        dist,
+    ))
 
-        points = {2 * k: c.points for k, c in enumerate(open_chains)}
-        other = [e ^ 1 for e in range(2 * len(open_chains))]  # live endpoint at the far end
-        alive = [True] * len(other)
-        for i, j in zip(first[rank].tolist(), second[rank].tolist()):
-            if not (alive[i] and alive[j]) or other[i] == j:
-                continue
-            a = points.pop(i)[::-1] if i in points else points.pop(other[i])  # ends at i
-            b = points.pop(j) if j in points else points.pop(other[j])[::-1]  # starts at j
-            head, tail = other[i], other[j]  # survivors of chains i and j
-            points[head] = np.concatenate([a, b])
-            alive[i] = alive[j] = False
-            other[head], other[tail] = tail, head
-        # unmerged chains in input order, then merged ones in creation order
-        open_chains = [EdgeChain(p, False) for p in points.values()]
-    return open_chains + closed_chains
+    points = {2 * k: c.points for k, c in enumerate(chains)}
+    other = [e ^ 1 for e in range(2 * len(chains))]  # live endpoint at the far end
+    alive = [True] * len(other)
+    for i, j in zip(first[rank].tolist(), second[rank].tolist()):
+        if not (alive[i] and alive[j]) or other[i] == j:
+            continue
+        a = points.pop(i)[::-1] if i in points else points.pop(other[i])  # ends at i
+        b = points.pop(j) if j in points else points.pop(other[j])[::-1]  # starts at j
+        head, tail = other[i], other[j]  # survivors of chains i and j
+        points[head] = np.concatenate([a, b])
+        alive[i] = alive[j] = False
+        other[head], other[tail] = tail, head
+    # unmerged chains in input order, then merged ones in creation order
+    return [EdgeChain(p) for p in points.values()]
 
 
 def refine_edges(
@@ -374,21 +367,19 @@ def _bounded_points(es: EdgeSet) -> np.ndarray:
 def rasterize(es: EdgeSet) -> BinaryMask:
     """Draw every chain as a 1-pixel-wide line after rounding coordinates.
 
-    Each segment, closing ones included, is a Bresenham line clipped to the
-    frame.  One at most a pixel long per axis draws just its end points, so
-    only longer ones are walked.  Raises ValueError on a point that
-    `_bounded_points` rejects, so no walk is longer than three frames.
+    Each segment is a Bresenham line clipped to the frame.  One at most a
+    pixel long per axis draws just its end points, so only longer ones are
+    walked.  Raises ValueError on a point that `_bounded_points` rejects,
+    so no walk is longer than three frames.
     """
     bits = np.zeros((es.height, es.width), dtype=bool)
     pts = _bounded_points(es)
     x, y = np.rint(pts).astype(int).T
     inside = (x >= 0) & (x < es.width) & (y >= 0) & (y < es.height)
     bits[y[inside], x[inside]] = True
-    heads = np.cumsum([0] + [len(c.points) for c in es.chains])
-    nxt = np.arange(1, len(pts) + 1)  # the point each segment runs to, -1 for none
-    nxt[heads[1:] - 1] = [h if c.closed else -1 for h, c in zip(heads, es.chains)]
-    start = np.flatnonzero(nxt >= 0)
-    stop = nxt[start]
+    last = np.cumsum([len(c.points) for c in es.chains], dtype=np.intp) - 1
+    start = np.delete(np.arange(len(pts)), last)  # every point but a chain's last
+    stop = start + 1
     long = np.maximum(abs(x[stop] - x[start]), abs(y[stop] - y[start])) > 1
     start, stop = start[long], stop[long]
     for x0, y0, x1, y1 in zip(*(v.tolist() for v in (x[start], y[start], x[stop], y[stop]))):
@@ -401,24 +392,30 @@ def to_json(es: EdgeSet) -> str:
         "width": es.width,
         "height": es.height,
         "chains": [
-            {"closed": c.closed, "points": c.points.tolist()}
+            {"closed": False, "points": c.points.tolist()}
             for c in es.chains
         ],
     }
     return json.dumps(doc, sort_keys=True)
 
 
+def _read_chain(doc: dict) -> EdgeChain:
+    """A document's chain; a closed one reads as the open chain that returns
+    to its first point, which draws the same pixels."""
+    chain = EdgeChain(np.array(doc["points"], dtype=np.float64))
+    return EdgeChain(np.vstack([chain.points, chain.points[:1]])) if doc["closed"] else chain
+
+
 def from_json(text: str) -> EdgeSet:
     """The edge set a `to_json` document describes; FormatError for any other
-    text, for a width or height that is not an integer, or for a point not
-    finite or more than a frame size outside it."""
+    text, for a width or height that is not an integer of at least 1, or for
+    a point not finite or more than a frame size outside it."""
     try:
         doc = json.loads(text)
-        chains = [
-            EdgeChain(np.array(c["points"], dtype=np.float64), bool(c["closed"]))
-            for c in doc["chains"]
-        ]
+        chains = [_read_chain(c) for c in doc["chains"]]
         es = EdgeSet(chains, operator.index(doc["width"]), operator.index(doc["height"]))
+        if min(es.width, es.height) < 1:
+            raise ValueError("the frame is smaller than one pixel")
         _bounded_points(es)
         return es
     except DOC_ERRORS as exc:

@@ -115,23 +115,6 @@ def skeletonize(m: BinaryMask) -> BinaryMask:
     return BinaryMask(img)
 
 
-def prune_spurs(m: BinaryMask, length: int) -> BinaryMask:
-    """Remove up to ``length`` pixels from every open line end.
-
-    Intended for skeletons; each iteration deletes pixels with at most one
-    8-neighbor, so every branch shortens by at most ``length``.
-    """
-    img = m.bits.copy()
-    for _ in range(max(0, length)):
-        planes = _neighbor_planes(img)
-        degree = sum(x.astype(np.uint8) for x in planes)
-        tips = img & (degree <= 1)
-        if not tips.any():
-            break
-        img &= ~tips
-    return BinaryMask(img)
-
-
 # neighbour pairs (a, b), b after a in row-major order, as slices of the
 # frame: E and S for 4-connectivity, then SE and SW for 8
 _PAIRS = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),

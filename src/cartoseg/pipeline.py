@@ -3,9 +3,9 @@
 The pipeline consumes a corpus directory written by the scene generator
 (manifest plus per-scene rasters and ground truth), runs the three imaging
 stages on every scene, scores each stage against the truth mask with an
-intersection-over-union category scheme, optionally builds per-kind graph
-models from the extracted shapes, and writes a JSON report plus a plain
-text table of category counts per stage.
+intersection-over-union category scheme, builds per-kind graph models
+from the extracted shapes, and writes a JSON report plus a plain text
+table of category counts per stage.
 
 Per-scene failures are recorded in the report and never abort the batch.
 Scenes are processed in manifest-id order so reports are byte-identical
@@ -24,7 +24,7 @@ import numpy as np
 from . import graphs
 from .edges import EdgeSet, canny, refine_edges, to_json as edges_to_json
 from .matching import MatchResult, match_mask
-from .morph import StructuringElement, dilate, external_boundary, prune_spurs, skeletonize
+from .morph import StructuringElement, dilate, external_boundary, skeletonize
 from .raster import (
     DOC_ERRORS,
     BinaryMask,
@@ -38,7 +38,6 @@ from .raster import (
     write_raster,
 )
 from .spectral import (
-    THRESHOLD_SOURCES,
     ThresholdPair,
     band_combine,
     corpus_mode_threshold,
@@ -57,6 +56,24 @@ from .watershed import (
 
 STAGES = ("segment", "match", "extract")
 CATEGORIES = ("correct", "acceptable", "incorrect")
+# the range of each bounded numeric key: (lowest, highest, lowest allowed)
+_RANGES = {
+    "delta": (0, math.inf, True),
+    "canny_sigma": (0, math.inf, False),
+    "canny_high_percentile": (0, 100, True),
+    "canny_low_fraction": (0, 1, False),
+    "smooth_window": (1, math.inf, True),
+    "merge_dist": (0, math.inf, True),
+    "min_edge_len": (0, math.inf, True),
+    "half_window": (0, math.inf, True),
+    "match_se_radius": (1, math.inf, True),
+    "boundary_se_radius": (1, math.inf, True),
+    "adjacency_tol": (0, math.inf, True),
+    "min_support": (1, math.inf, True),
+    "iou_correct": (0, 1, False),
+    "iou_acceptable": (0, 1, False),
+    "node_budget": (1, math.inf, True),
+}
 _BOOLS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
     **dict.fromkeys(("0", "false", "no", "off"), False),
@@ -71,7 +88,6 @@ class PipelineConfig:
     corpus: str = "corpus"
     out: str = "out"
     delta: float = 10.0
-    threshold_source: str = "combined"  # or "ch1"
     band_w1: float = 0.3
     band_w2: float = 0.3
     band_w3: float = -1.0
@@ -82,10 +98,8 @@ class PipelineConfig:
     merge_dist: float = 3.0
     min_edge_len: float = 10.0
     half_window: int = 10
-    se_shape: str = "disk"
     match_se_radius: int = 1
     boundary_se_radius: int = 2
-    prune_spurs: int = 0
     decompose_mode: str = "skeleton"
     adjacency_tol: float = 8.0
     min_support: int = 1
@@ -93,30 +107,18 @@ class PipelineConfig:
     iou_acceptable: float = 0.5
     distance_mode: str = "prototypes"  # or "bounds"
     node_budget: int = graphs.DEFAULT_NODE_BUDGET
-    build_models: bool = True
     save_intermediates: bool = True
 
     def __post_init__(self) -> None:
         for f in fields(self):
             if f.type == "float" and math.isnan(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must not be NaN")
-        if self.merge_dist < 0 or self.min_edge_len < 0:
-            raise ValueError("merge_dist and min_edge_len must be non-negative")
-        if self.canny_sigma <= 0:
-            raise ValueError("canny_sigma must be positive")
-        if self.half_window < 0:
-            raise ValueError("half_window must be non-negative")
-        for key in ("match_se_radius", "boundary_se_radius"):
-            try:
-                _se(self, getattr(self, key))
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
+        for key, (low, high, low_ok) in _RANGES.items():
+            v = getattr(self, key)
+            if not (low <= v <= high and (low_ok or v > low)):
+                raise ValueError(f"{key} must lie in {'[' if low_ok else '('}{low}, {high}]: {v!r}")
         if self.decompose_mode not in graphs.DECOMPOSE_MODES:
             raise ValueError(f"unknown decompose mode {self.decompose_mode!r}")
-        if self.threshold_source not in THRESHOLD_SOURCES:
-            raise ValueError(f"unknown threshold source {self.threshold_source!r}")
-        if not (0.0 < self.iou_acceptable <= 1.0 and 0.0 < self.iou_correct <= 1.0):
-            raise ValueError("IoU thresholds must lie in (0, 1]")
         if self.iou_correct < self.iou_acceptable:
             raise ValueError("correct threshold must be >= acceptable threshold")
         if self.distance_mode not in ("prototypes", "bounds"):
@@ -221,10 +223,6 @@ def _stage_counts(scenes: list[dict]) -> dict:
     return agg
 
 
-def _se(cfg: PipelineConfig, radius: int) -> StructuringElement:
-    return StructuringElement(cfg.se_shape, radius)
-
-
 def _ms_factor(pan: ScalarImage, ms) -> int:
     return max(1, int(round(ms.resolution / pan.resolution)))
 
@@ -269,7 +267,6 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
     threshold = corpus_mode_threshold(
         clips,
         delta=cfg.delta,
-        source=cfg.threshold_source,
         weights=(cfg.band_w1, cfg.band_w2, cfg.band_w3),
     )
     return entries, loaded, threshold
@@ -305,13 +302,9 @@ def place_mask(
     mask: BinaryMask, es: EdgeSet, pan: ScalarImage, cfg: PipelineConfig
 ) -> MatchResult:
     """Offset of the candidate mask that best fits the edge chains."""
-    return match_mask(mask, es, pan, cfg.half_window, _se(cfg, cfg.match_se_radius))
-
-
-def skeleton_marker(placed: BinaryMask, cfg: PipelineConfig) -> BinaryMask:
-    """Object marker: the placed mask's skeleton, spurs pruned if asked."""
-    skel = skeletonize(placed)
-    return prune_spurs(skel, cfg.prune_spurs) if cfg.prune_spurs > 0 else skel
+    return match_mask(
+        mask, es, pan, cfg.half_window, StructuringElement("disk", cfg.match_se_radius)
+    )
 
 
 def extract_scene(
@@ -323,7 +316,7 @@ def extract_scene(
     flood reads.  Returns (boundary, labels, object); MarkerSet raises
     EmptyMarker when either marker is empty.
     """
-    boundary = external_boundary(placed, _se(cfg, cfg.boundary_se_radius))
+    boundary = external_boundary(placed, StructuringElement("disk", cfg.boundary_se_radius))
     markers = MarkerSet(object_marker=skel, background_marker=boundary)
     grad = inject_edges(gradient_magnitude(pan), es)
     relief = impose_minima(grad, markers, markers.partition.contested)
@@ -401,9 +394,7 @@ def run_scene(
     if matched.is_empty():
         return fail("matched mask left the frame", "extract")
 
-    skel = skeleton_marker(matched, cfg)
-    if skel.is_empty():
-        return fail("empty skeleton marker", "extract")
+    skel = skeletonize(matched)
     boundary, labels, obj = extract_scene(pan, matched, skel, es, cfg)
     score("extract", obj)
     save(skel, "skeleton")
@@ -451,25 +442,24 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         scenes.append(record)
 
     models: dict = {}
-    if cfg.build_models:
-        for kind in sorted(extracted_by_kind):
-            try:
-                args = {
-                    sid: shape_graph(obj, resolution, cfg)
-                    for sid, obj, resolution in extracted_by_kind[kind]
-                }
-                model = fit_model(list(args.values()), cfg)
-                distances = {sid: round(model_score(g, model, cfg), 6) for sid, g in args.items()}
-            except (graphs.BudgetExceeded, graphs.EmptyInput) as exc:
-                models[kind] = {"error": str(exc)}
-                continue
-            models[kind] = {
-                "prototypes": len(model.prototypes),
-                "max_csg_size": model.max_csg.size,
-                "min_csg_size": model.min_csg.size,
-                "distances": distances,
+    for kind in sorted(extracted_by_kind):
+        try:
+            args = {
+                sid: shape_graph(obj, resolution, cfg)
+                for sid, obj, resolution in extracted_by_kind[kind]
             }
-            (out_dir / f"model_{kind}.json").write_text(graphs.model_to_json(model))
+            model = fit_model(list(args.values()), cfg)
+            distances = {sid: round(model_score(g, model, cfg), 6) for sid, g in args.items()}
+        except (graphs.BudgetExceeded, graphs.EmptyInput) as exc:
+            models[kind] = {"error": str(exc)}
+            continue
+        models[kind] = {
+            "prototypes": len(model.prototypes),
+            "max_csg_size": model.max_csg.size,
+            "min_csg_size": model.min_csg.size,
+            "distances": distances,
+        }
+        (out_dir / f"model_{kind}.json").write_text(graphs.model_to_json(model))
 
     report = EvalReport(
         scenes=scenes,

@@ -16,7 +16,6 @@ from .morph import label_components
 from .raster import BinaryMask, MultiSpectralImage, ScalarImage, clip_center
 
 DEFAULT_WEIGHTS = (0.3, 0.3, -1.0)
-THRESHOLD_SOURCES = ("combined", "ch1")
 
 
 class EmptyCorpus(Exception):
@@ -50,24 +49,19 @@ def corpus_mode_threshold(
     corpus: list[MultiSpectralImage],
     delta: float = 10.0,
     window: int = 5,
-    source: str = "combined",
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
 ) -> ThresholdPair:
     """Estimate a threshold pair from the corpus of multispectral images.
 
-    Pools every image's central ``window`` x ``window`` values (of the
-    combined band, or of channel 1 when ``source="ch1"``), rounds them to
-    integer bins and takes the mode as the strong threshold; ties resolve
-    to the lower bin.  The weak threshold sits ``delta`` gray levels below.
+    Pools every image's central ``window`` x ``window`` values of the
+    combined band, rounds them to integer bins and takes the mode as the
+    strong threshold; ties resolve to the lower bin.  The weak threshold sits ``delta`` gray levels below.
     """
     if not corpus:
         raise EmptyCorpus("no images to estimate a threshold from")
-    if source not in THRESHOLD_SOURCES:
-        raise ValueError(f"unknown threshold source {source!r}")
     pooled = []
     for ms in corpus:
-        band = band_combine(ms, weights) if source == "combined" else ms.ch1
-        win = clip_center(band, window, window)
+        win = clip_center(band_combine(ms, weights), window, window)
         pooled.append(win.data.astype(np.float64).ravel())
     values = np.concatenate(pooled)
     bins = np.floor(values + 0.5)  # round half up, deterministic

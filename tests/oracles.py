@@ -235,14 +235,14 @@ def naive_magnify(src: np.ndarray, factor: int) -> np.ndarray:
 _TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def set_trace_chains(final: np.ndarray) -> list[tuple[list[tuple[int, int]], bool]]:
+def set_trace_chains(final: np.ndarray) -> list[list[tuple[int, int]]]:
     """`edges._trace_chains` over a set of (y, x) pixel tuples, a neighbor
     dict and a set of traced pixel pairs.
 
     Paths start and end at pixels whose degree differs from 2 and are
     walked through degree-2 pixels until a pair repeats; what remains
-    afterwards are pure cycles.  A chain counts as closed when its last
-    pixel neighbors its first.  Returns (path, closed) per chain.
+    afterwards are pure cycles, each walked back to its first pixel.
+    Returns the path of each chain.
     """
     pixels = {(int(y), int(x)) for y, x in zip(*np.nonzero(final))}
     nbrs = {
@@ -269,15 +269,13 @@ def set_trace_chains(final: np.ndarray) -> list[tuple[list[tuple[int, int]], boo
     for t in sorted(p for p in pixels if len(nbrs[p]) != 2):
         for n in nbrs[t]:
             if frozenset((t, n)) not in used:
-                chains.append((walk(t, n), False))
+                chains.append(walk(t, n))
     for p in sorted(pixels):
         if len(nbrs[p]) != 2:
             continue
         for n in nbrs[p]:
             if frozenset((p, n)) not in used:
-                path = walk(p, n)
-                closed = len(path) >= 3 and path[-1] in nbrs[path[0]]
-                chains.append((path, closed))
+                chains.append(walk(p, n))
                 break
     return chains
 
@@ -287,7 +285,7 @@ def pointwise_canny(img, sigma=1.2, high_percentile=95.0, low_fraction=0.4):
 
     Smoothing, gradient and suppression are the package's own helpers;
     hysteresis, tracing and the per-point loop are independent.
-    Returns (points, closed) per chain.
+    Returns the points of each chain.
     """
     from cartoseg.edges import _SECTOR_STEP, _gaussian_blur, _sobel_pair
     from cartoseg.morph import _neighbor_planes
@@ -307,7 +305,7 @@ def pointwise_canny(img, sigma=1.2, high_percentile=95.0, low_fraction=0.4):
         return []
     h, w = mag.shape
     chains = []
-    for path, closed in set_trace_chains(bfs_hysteresis(nms, hi, low_fraction * hi)):
+    for path in set_trace_chains(bfs_hysteresis(nms, hi, low_fraction * hi)):
         pts = np.empty((len(path), 2), dtype=np.float64)
         for i, (y, x) in enumerate(path):
             dy, dx = _SECTOR_STEP[int(sector[y, x])]
@@ -320,7 +318,7 @@ def pointwise_canny(img, sigma=1.2, high_percentile=95.0, low_fraction=0.4):
                 if den < 0.0:
                     delta = float(np.clip((a - b) / (2.0 * den), -0.49, 0.49))
             pts[i] = (x + delta * dx, y + delta * dy)
-        chains.append((pts, closed))
+        chains.append(pts)
     return chains
 
 
@@ -369,10 +367,7 @@ def bresenham_rasterize(chains, width: int, height: int) -> np.ndarray:
 
     for chain in chains:
         pts = np.rint(chain.points).astype(int)
-        segs = list(zip(pts[:-1], pts[1:]))
-        if chain.closed:
-            segs.append((pts[-1], pts[0]))
-        for (x0, y0), (x1, y1) in segs:
+        for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
             draw(int(x0), int(y0), int(x1), int(y1))
     return bits
 
@@ -382,42 +377,32 @@ def bresenham_rasterize(chains, width: int, height: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def loop_smooth_chain(pts: np.ndarray, closed: bool, window: int) -> np.ndarray:
-    """Moving average with one window per point: wrapping on a closed
-    chain, cut at the ends of an open one, whose endpoints stay."""
+def loop_smooth_chain(pts: np.ndarray, window: int) -> np.ndarray:
+    """Moving average with one window per point, cut at the chain's ends,
+    which stay."""
     n = len(pts)
     if window <= 1 or n < 3:
         return pts.copy()
     half = window // 2
     out = pts.copy()
-    if closed:
-        idx = np.arange(n)
-        acc = np.zeros_like(pts)
-        for d in range(-half, half + 1):
-            acc += pts[(idx + d) % n]
-        out = acc / (2 * half + 1)
-    else:
-        for i in range(1, n - 1):
-            lo = max(0, i - half)
-            hi = min(n, i + half + 1)
-            out[i] = pts[lo:hi].mean(axis=0)
+    for i in range(1, n - 1):
+        lo = max(0, i - half)
+        hi = min(n, i + half + 1)
+        out[i] = pts[lo:hi].mean(axis=0)
     return out
 
 
-def dense_merge_chains(chains, merge_dist: float) -> list[tuple[np.ndarray, bool]]:
+def dense_merge_chains(chains, merge_dist: float) -> list[np.ndarray]:
     """Greedy endpoint merge over the dense n x n distance array.
 
     Ranks every endpoint pair within `merge_dist` by (distance, sorted
     endpoint coordinates, i, j) with a tuple sort, and rescans every live
-    endpoint after each merge.  Returns (points, closed) per output chain:
-    open chains first, unmerged ones in input order and then merged ones in
-    creation order, followed by the closed chains.
+    endpoint after each merge.  Returns the points of each output chain:
+    unmerged ones in input order, then merged ones in creation order.
     """
-    open_chains = [c for c in chains if not c.closed]
-    closed = [(c.points, True) for c in chains if c.closed]
-    if len(open_chains) <= 1:
-        return [(c.points, False) for c in open_chains] + closed
-    coords = np.concatenate([[c.points[0], c.points[-1]] for c in open_chains])
+    if len(chains) <= 1:
+        return [c.points for c in chains]
+    coords = np.concatenate([[c.points[0], c.points[-1]] for c in chains])
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     candidates = []
@@ -428,11 +413,11 @@ def dense_merge_chains(chains, merge_dist: float) -> list[tuple[np.ndarray, bool
         candidates.append((float(dist[i, j]), key, int(i), int(j)))
     candidates.sort()
 
-    points = {k: c.points for k, c in enumerate(open_chains)}
-    owner = {e: e // 2 for e in range(2 * len(open_chains))}
-    side = {e: e % 2 for e in range(2 * len(open_chains))}
+    points = {k: c.points for k, c in enumerate(chains)}
+    owner = {e: e // 2 for e in range(2 * len(chains))}
+    side = {e: e % 2 for e in range(2 * len(chains))}
     alive = set(owner)
-    next_id = len(open_chains)
+    next_id = len(chains)
     for _, _, i, j in candidates:
         if i not in alive or j not in alive or owner[i] == owner[j]:
             continue
@@ -451,7 +436,7 @@ def dense_merge_chains(chains, merge_dist: float) -> list[tuple[np.ndarray, bool
             elif owner[e] == cj:
                 owner[e], side[e] = next_id, 1
         next_id += 1
-    return [(points[k], False) for k in sorted(points)] + closed
+    return [points[k] for k in sorted(points)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+def exit_code(argv) -> int:
+    """What `cartoseg` exits with: main's return value, or the code of the
+    SystemExit that argparse raises for an unknown flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def truth_masks(tmp_path, corpus_dir):
     """A directory holding the truth masks of the corpus's first two scenes."""
     masks = tmp_path / "masks"
@@ -70,12 +79,11 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "box, flags",
-        [((slice(None), slice(None)), []),  # full frame: no background rim
-         ((slice(30, 33), slice(20, 100)), ["--prune_spurs", "60"])],  # skeleton pruned away
-        ids=["empty-boundary", "empty-skeleton"],
+        "box",
+        [(slice(None), slice(None))],  # full frame: no background rim
+        ids=["empty-boundary"],
     )
-    def test_empty_marker_is_two(self, tmp_path, corpus_dir, box, flags, capsys):
+    def test_empty_marker_is_two(self, tmp_path, corpus_dir, box, capsys):
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
         pan_path = corpus_dir / entry["files"]["pan"]
         bits = np.zeros(read_mask(pan_path).bits.shape, dtype=bool)
@@ -85,13 +93,13 @@ class TestExitCodes:
         edges_path = tmp_path / "edges.json"
         assert main(["edges", "--pan", str(pan_path), "--out", str(edges_path)]) == 0
         rc = main(["extract", "--pan", str(pan_path), "--mask", str(mask_path),
-                   "--edges", str(edges_path), "--out", str(tmp_path / "obj"), *flags])
+                   "--edges", str(edges_path), "--out", str(tmp_path / "obj")])
         assert rc == 2
         assert "marker" in capsys.readouterr().err
 
     def test_bad_bool_is_one(self, tmp_path, corpus_dir):
         rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
-                   "--build_models", "flase"])
+                   "--save_intermediates", "flase"])
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
@@ -99,11 +107,16 @@ class TestExitCodes:
         "key, raw",
         [("half_window", "-3"), ("se_shape", "hexagon"), ("match_se_radius", "0"),
          ("boundary_se_radius", "0"), ("decompose_mode", "foo"), ("decompose_mode", "shapes"),
-         ("threshold_source", "ch9")],
+         ("threshold_source", "ch9"), ("prune_spurs", "4"), ("build_models", "false"),
+         ("canny_high_percentile", "150"), ("canny_low_fraction", "2"), ("delta", "-5"),
+         ("adjacency_tol", "-1"), ("smooth_window", "-3"), ("min_support", "-1"),
+         ("node_budget", "-5")],
     )
     def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir, key, raw):
-        rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
-                   f"--{key}", raw])
+        """Keys the pipeline no longer has (se_shape, threshold_source,
+        prune_spurs, build_models) fail as unknown flags."""
+        rc = exit_code(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                        f"--{key}", raw])
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
@@ -240,8 +253,7 @@ class TestStageCommands:
         """segment -> edges -> match -> extract with default flags writes
         what `pipeline` writes for the same scene."""
         pipe = tmp_path / "pipe"
-        assert main(["pipeline", "--corpus", str(corpus_dir), "--out", str(pipe),
-                     "--build_models", "false"]) == 0
+        assert main(["pipeline", "--corpus", str(corpus_dir), "--out", str(pipe)]) == 0
         seg = tmp_path / "seg"
         assert main(["segment", "--corpus", str(corpus_dir), "--out", str(seg)]) == 0
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
@@ -372,7 +384,7 @@ class TestPipelineCommand:
         (corpus / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "out"
         assert main(["pipeline", "--corpus", str(corpus), "--out", str(out),
-                     "--save_intermediates", "false", "--build_models", "false"]) == 0
+                     "--save_intermediates", "false"]) == 0
         scenes = {s["id"]: s for s in json.loads((out / "report.json").read_text())["scenes"]}
         failed = {s["id"] for s in manifest["scenes"][:2]}
         assert {sid for sid, s in scenes.items() if s.get("failed_stage") == "load"} == failed

@@ -37,8 +37,8 @@ def step_image(w=32, h=32, col=16, lo=0, hi=255):
     return ScalarImage(data)
 
 
-def chain(pts, closed=False):
-    return EdgeChain(np.array(pts, dtype=np.float64), closed)
+def chain(pts):
+    return EdgeChain(np.array(pts, dtype=np.float64))
 
 
 class TestChainTypes:
@@ -49,8 +49,8 @@ class TestChainTypes:
     def test_arc_length(self):
         c = chain([(0, 0), (3, 4)])
         assert c.arc_length() == pytest.approx(5.0)
-        loop = chain([(0, 0), (1, 0), (1, 1), (0, 1)], closed=True)
-        assert loop.arc_length() == pytest.approx(4.0)
+        ring = chain([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+        assert ring.arc_length() == pytest.approx(4.0)
 
 
 class TestCanny:
@@ -157,9 +157,7 @@ class TestTraceChains:
     @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16)),
                   elements=st.booleans(), fill=st.nothing()))
     def test_equals_pixel_set_oracle(self, final):
-        want = set_trace_chains(final)
-        assert not any(closed for _, closed in want)  # cycles come out open
-        assert traced_pixels(final) == [path for path, _ in want]
+        assert traced_pixels(final) == set_trace_chains(final)
 
 
 class TestRefineEdges:
@@ -252,25 +250,18 @@ class TestRefineEdges:
 
 # endpoints on a 0.5 px lattice, so exact distance and coordinate ties abound
 _lattice_point = st.tuples(st.integers(-4, 40), st.integers(-4, 40))
-_chains = st.lists(
-    st.tuples(
-        st.lists(_lattice_point, min_size=2, max_size=4),
-        st.integers(0, 3).map(lambda k: k == 0),  # a quarter of chains closed
-    ),
-    max_size=16,
-)
+_chains = st.lists(st.lists(_lattice_point, min_size=2, max_size=4), max_size=16)
 
 
 class TestMergeChains:
     @settings(max_examples=300, deadline=None)
     @given(_chains, st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.5, math.inf]))
     def test_equals_dense_oracle(self, drawn, merge_dist):
-        chains = [chain(np.array(pts) / 2.0, closed) for pts, closed in drawn]
+        chains = [chain(np.array(pts) / 2.0) for pts in drawn]
         got = _merge_chains(chains, merge_dist)
         want = dense_merge_chains(chains, merge_dist)
         assert len(got) == len(want)
-        for c, (points, closed) in zip(got, want):
-            assert c.closed == closed
+        for c, points in zip(got, want):
             assert np.array_equal(c.points, points)
 
     def test_merged_chains_follow_unmerged_ones(self):
@@ -304,10 +295,16 @@ class TestRasterizeAndJson:
         assert bits[1, 1:6].all()
         assert bits.sum() == 5
 
-    def test_rasterize_closed(self):
-        es = EdgeSet([chain([(1, 1), (4, 1), (4, 4), (1, 4)], closed=True)], 8, 8)
-        bits = rasterize(es).bits
-        assert bits[1, 1] and bits[4, 4] and bits[1, 2] and bits[2, 1]
+    def test_closed_ring_reads_open(self):
+        """A `"closed": true` chain reads as the open chain back to its first
+        point, which draws the whole square, closing side included."""
+        es = from_json('{"width": 8, "height": 8, "chains": [{"closed": true, '
+                       '"points": [[1, 1], [4, 1], [4, 4], [1, 4]]}]}')
+        assert es.chains[0].points.tolist() == [[1, 1], [4, 1], [4, 4], [1, 4], [1, 1]]
+        want = np.zeros((8, 8), dtype=bool)
+        want[1:5, 1:5] = True
+        want[2:4, 2:4] = False
+        assert np.array_equal(rasterize(es).bits, want)
 
     def test_out_of_frame_clipped(self):
         es = EdgeSet([chain([(-3, 0), (3, 0)])], 4, 4)
@@ -315,18 +312,21 @@ class TestRasterizeAndJson:
         assert bits[0, 0:4].all()
 
     def test_json_roundtrip(self):
-        es = EdgeSet([chain([(1.25, 2.5), (3.75, 4.0)]), chain([(0, 0), (1, 1), (0, 2)], True)], 10, 12)
-        back = from_json(to_json(es))
+        es = EdgeSet([chain([(1.25, 2.5), (3.75, 4.0)]), chain([(0, 0), (1, 1), (0, 2), (0, 0)])], 10, 12)
+        text = to_json(es)
+        assert '"closed": true' not in text and text.count('"closed": false') == 2
+        back = from_json(text)
         assert (back.width, back.height) == (10, 12)
         assert len(back.chains) == 2
-        assert back.chains[1].closed
-        assert np.allclose(back.chains[0].points, es.chains[0].points)
+        for c, b in zip(es.chains, back.chains):
+            assert np.array_equal(b.points, c.points)
 
 
 # chains on a 0.25 px lattice around frames of 1 to 12 px, with points
 # negative, outside the frame and exactly halfway between pixels; steps are
-# mostly at most 3 px, where one pixel more or less in a line shows.  The
-# test clips the points to the bound `rasterize` accepts, one frame outside.
+# mostly at most 3 px, where one pixel more or less in a line shows, and
+# half the chains are rings back to their first point.  The test clips the
+# points to the bound `rasterize` accepts, one frame outside.
 _quarter = st.integers(-24, 64)
 _step = st.integers(-12, 12) | st.integers(-80, 80)
 _raster_chains = st.lists(
@@ -344,8 +344,10 @@ class TestRasterizeOracle:
     @given(_raster_chains, st.integers(1, 12), st.integers(1, 12))
     def test_equals_bresenham_per_segment(self, drawn, width, height):
         lo, hi = -4 * np.array([width, height]), 8 * np.array([width, height])
-        chains = [chain(np.clip(np.cumsum([start, *steps], axis=0), lo, hi) / 4.0, closed)
-                  for start, steps, closed in drawn]
+        paths = [np.clip(np.cumsum([start, *steps], axis=0), lo, hi) / 4.0
+                 for start, steps, _ in drawn]
+        chains = [chain(np.vstack([p, p[:1]]) if ring else p)
+                  for p, (_, _, ring) in zip(paths, drawn)]
         got = rasterize(EdgeSet(chains, width, height)).bits
         assert np.array_equal(got, bresenham_rasterize(chains, width, height))
 
@@ -368,8 +370,7 @@ class TestCannyOracle:
         got = canny(ScalarImage(data), sigma=sigma, low_fraction=low_fraction).chains
         want = pointwise_canny(ScalarImage(data), sigma=sigma, low_fraction=low_fraction)
         assert len(got) == len(want)
-        for c, (points, closed) in zip(got, want):
-            assert c.closed == closed
+        for c, points in zip(got, want):
             assert c.points.tobytes() == points.tobytes()
 
 
@@ -387,12 +388,11 @@ class TestSmoothChainOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda n: arrays(
                np.float64, (n, 2), elements=st.floats(-1e9, 1e9))),
-           st.booleans(), st.integers(1, 7))
-    def test_equals_per_point_window(self, pts, closed, window):
+           st.integers(1, 7))
+    def test_equals_per_point_window(self, pts, window):
         """Mixed magnitudes make any other order of the additions show."""
-        got = _smooth_chain(EdgeChain(pts, closed), window)
-        assert got.closed == closed
-        assert np.array_equal(got.points, loop_smooth_chain(pts, closed, window))
+        got = _smooth_chain(EdgeChain(pts), window)
+        assert np.array_equal(got.points, loop_smooth_chain(pts, window))
 
 
 class TestJsonPointBounds:
@@ -408,8 +408,10 @@ class TestJsonPointBounds:
             from_json(text)
 
     def test_fractional_frame_is_format_error(self):
-        with pytest.raises(FormatError):
-            from_json('{"width": 8.7, "height": 8, "chains": []}')
+        """And a frame smaller than one pixel, which no raster can hold."""
+        for frame in ('"width": 8.7, "height": 8', '"width": -3, "height": 0', '"width": 8, "height": 0'):
+            with pytest.raises(FormatError):
+                from_json(f'{{{frame}, "chains": []}}')
 
     def test_one_frame_outside_accepted(self):
         es = EdgeSet([chain([(-8, -12), (16, 24)])], 8, 12)

@@ -11,7 +11,6 @@ from cartoseg.morph import (
     dilate,
     external_boundary,
     label_components,
-    prune_spurs,
     skeletonize,
 )
 from cartoseg.raster import BinaryMask
@@ -177,23 +176,6 @@ class TestSkeletonize:
             for dx in (-1, 0, 1):
                 solid &= p[1 + dy : 17 + dy, 1 + dx : 17 + dx]
         assert not solid.any()
-
-
-class TestPruneSpurs:
-    def test_shortens_dangling_ends(self):
-        bits = np.zeros((9, 12), dtype=bool)
-        bits[4, 1:11] = True
-        bits[1:4, 5] = True  # three-pixel spur hanging off the line
-        out = prune_spurs(BinaryMask(bits), 2)
-        assert not out.bits[1, 5] and not out.bits[2, 5]  # tip eaten by 2
-        assert out.bits[4, 5]  # line body intact
-        assert not out.bits[4, 1] and not out.bits[4, 10]  # free ends shorten too
-
-    def test_zero_is_noop(self):
-        bits = np.zeros((5, 5), dtype=bool)
-        bits[2, 1:4] = True
-        out = prune_spurs(BinaryMask(bits), 0)
-        assert np.array_equal(out.bits, bits)
 
 
 class TestLabelComponents:

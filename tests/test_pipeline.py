@@ -63,28 +63,33 @@ class TestConfig:
 
     def test_from_file_and_overrides(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text("# comment\ndelta=12.5\nhalf_window=8\nse_shape=square\n")
+        p.write_text("# comment\ndelta=12.5\nhalf_window=8\ndistance_mode=bounds\n")
         cfg = PipelineConfig.from_file(p)
-        assert cfg.delta == 12.5 and cfg.half_window == 8 and cfg.se_shape == "square"
-        cfg2 = cfg.with_overrides({"delta": "3", "build_models": "false"})
-        assert cfg2.delta == 3.0 and cfg2.build_models is False
+        assert cfg.delta == 12.5 and cfg.half_window == 8 and cfg.distance_mode == "bounds"
+        cfg2 = cfg.with_overrides({"delta": "3", "save_intermediates": "false"})
+        assert cfg2.delta == 3.0 and cfg2.save_intermediates is False
 
     def test_bool_spellings(self):
         cfg = PipelineConfig()
         for raw in ("1", "TRUE", "Yes", "on"):
-            assert cfg.with_overrides({"build_models": raw}).build_models is True
+            assert cfg.with_overrides({"save_intermediates": raw}).save_intermediates is True
         for raw in ("0", "False", "NO", "off"):
-            assert cfg.with_overrides({"build_models": raw}).build_models is False
+            assert cfg.with_overrides({"save_intermediates": raw}).save_intermediates is False
         for raw in ("flase", "", "2"):
             with pytest.raises(ValueError):
-                cfg.with_overrides({"build_models": raw})
+                cfg.with_overrides({"save_intermediates": raw})
 
     @pytest.mark.parametrize(
         "key, raw",
         [("merge_dist", "nan"), ("min_edge_len", "-1"), ("canny_sigma", "nan"),
          ("canny_sigma", "0"), ("half_window", "-3"), ("se_shape", "hexagon"),
          ("match_se_radius", "0"), ("boundary_se_radius", "0"), ("decompose_mode", "foo"),
-         ("decompose_mode", "shapes"), ("threshold_source", "ch9")],
+         ("decompose_mode", "shapes"), ("threshold_source", "ch9"),
+         ("canny_high_percentile", "150"), ("canny_high_percentile", "-1"),
+         ("canny_low_fraction", "0"), ("canny_low_fraction", "2"), ("delta", "-5"),
+         ("adjacency_tol", "-1"), ("smooth_window", "-3"), ("smooth_window", "0"),
+         ("min_support", "-1"), ("min_support", "0"), ("node_budget", "-5"),
+         ("node_budget", "0")],
     )
     def test_bad_numeric_rejected(self, key, raw):
         with pytest.raises(ValueError):
@@ -98,10 +103,12 @@ class TestConfig:
                 PipelineConfig().with_overrides({name: "nan"})
 
     def test_unknown_key_rejected(self, tmp_path):
+        """Also each key the pipeline no longer has."""
         p = tmp_path / "cfg.txt"
-        p.write_text("no_such_knob=1\n")
-        with pytest.raises(ValueError):
-            PipelineConfig.from_file(p)
+        for key in ("no_such_knob", "threshold_source", "prune_spurs", "se_shape", "build_models"):
+            p.write_text(f"{key}=1\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                PipelineConfig.from_file(p)
 
 
 @pytest.fixture(scope="module")

@@ -95,11 +95,6 @@ class TestCorpusModeThreshold:
         t = corpus_mode_threshold([ms], delta=5.0)
         assert t.t_high == 60.0
 
-    def test_ch1_source(self):
-        ms = const_ms(120, 0, 0)
-        t = corpus_mode_threshold([ms], delta=10.0, source="ch1")
-        assert t.t_high == 120.0
-
     def test_threshold_pair_invariant(self):
         with pytest.raises(ValueError):
             ThresholdPair(t_high=5.0, t_low=6.0)

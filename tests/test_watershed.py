@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import cartoseg
 from cartoseg import watershed
 from cartoseg.edges import EdgeChain, EdgeSet, rasterize
-from cartoseg.morph import StructuringElement, external_boundary
+from cartoseg.morph import StructuringElement, external_boundary, skeletonize
 from cartoseg.pipeline import (
     PipelineConfig,
     clip_ms,
@@ -20,7 +20,6 @@ from cartoseg.pipeline import (
     extract_scene,
     place_mask,
     segment_scene,
-    skeleton_marker,
 )
 from cartoseg.raster import BinaryMask, ScalarImage, translate
 from cartoseg.spectral import corpus_mode_threshold
@@ -73,8 +72,8 @@ def rendered_scene(request):
     _, mask = segment_scene(pan, ms, t, cfg)
     es = detect_edges(pan, cfg)
     placed = translate(mask, *place_mask(mask, es, pan, cfg).offset)
-    markers = MarkerSet(skeleton_marker(placed, cfg),
-                        external_boundary(placed, StructuringElement(cfg.se_shape, cfg.boundary_se_radius)))
+    markers = MarkerSet(skeletonize(placed),
+                        external_boundary(placed, StructuringElement("disk", cfg.boundary_se_radius)))
     return pan, placed, es, inject_edges(gradient_magnitude(pan), es), markers
 
 
@@ -106,7 +105,7 @@ class TestMarkerSet:
         placed = np.zeros((24, 24), dtype=bool)
         placed[8:16, 5:19] = True
         cfg = PipelineConfig()
-        skel = skeleton_marker(BinaryMask(placed), cfg)
+        skel = skeletonize(BinaryMask(placed))
         calls = []
         label = watershed.label_components
 
