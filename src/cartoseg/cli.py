@@ -269,10 +269,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return exc.code
     except graphs.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERROR

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morph import _neighbor_planes
+from .morph import _neighbor_planes, _shortcut_free
 from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage
 from .spectral import _grow8
 
@@ -81,25 +81,24 @@ def _sobel_pair(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-_TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
-
-
 def _trace_chains(final: np.ndarray) -> list[list[int]]:
-    """Decompose an edge-pixel set into maximal 8-connected paths of pixel
-    indices, numbered row-major as `np.nonzero(final)` lists the pixels.
+    """Decompose an edge-pixel set into maximal shortcut-free paths (links
+    by `morph._shortcut_free`, so a staircase is one path) of pixel indices,
+    numbered row-major as `np.nonzero(final)` lists the pixels.
 
     Paths start and end at pixels whose degree differs from 2 (line ends
     and junctions); what remains afterwards are pure cycles, each traced as
     an open path whose last pixel repeats its first.  Deterministic: pixels
-    are visited in index order and neighbors in a fixed order.
+    are visited in index order and neighbors in `_neighbor_planes` order.
     """
-    # Every pixel inside a path has degree 2, so a flag per walked pixel
-    # marks the traced pixel pairs; two adjacent terminals share one edge,
-    # which the one with the smaller index traces.
+    # The rule is symmetric, so every pixel inside a path has degree 2 and a
+    # flag per walked pixel marks the traced pixel pairs; two adjacent
+    # terminals share one edge, which the one with the smaller index traces.
     ys, xs = np.nonzero(final)
-    pos = np.full(np.add(final.shape, 2), -1)  # index of each pixel, -1 off the set
-    pos[ys + 1, xs + 1] = np.arange(len(ys))
-    table = np.stack([pos[ys + 1 + dy, xs + 1 + dx] for dy, dx in _TRACE_ORDER], axis=1)
+    pos = final.cumsum().reshape(final.shape) * final  # 1 + index of each pixel, 0 off the set
+    planes = [q[ys, xs] for q in _neighbor_planes(pos)]
+    linked = _shortcut_free(*(q > 0 for q in planes))
+    table = np.stack([q * f for q, f in zip(planes, linked)], axis=1) - 1
     nbrs = [[n for n in row if n >= 0] for row in table.tolist()]
     seen = [False] * len(nbrs)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .morph import _PAIRS, EmptyMask, _label_links, _neighbor_planes, label_components, skeletonize
+from .morph import (_PAIRS, EmptyMask, _label_links, _neighbor_planes, _reduced,
+                    label_components, skeletonize)
 from .raster import DOC_ERRORS, BinaryMask, FormatError
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
@@ -109,22 +110,6 @@ def _components(labels: np.ndarray, count: int, where: np.ndarray | None = None)
     return np.split(np.stack([ys, xs])[:, order], cuts, axis=1)[1:]
 
 
-def _reduced(n, ne, e, se, s, sw, w, nw):
-    """Neighbor count from the eight neighbor flags after dropping redundant
-    diagonal links.
-
-    A diagonal adjacency that also has an orthogonal two-step path (one of
-    the two shared orthogonal pixels is set) is skipped, so staircase
-    artifacts in thinned skeletons do not read as extra connectivity.
-    """
-    deg = n.astype(np.uint8) + s + w + e
-    deg += nw & ~n & ~w
-    deg += ne & ~n & ~e
-    deg += sw & ~s & ~w
-    deg += se & ~s & ~e
-    return deg
-
-
 def _reduced_degree(bits: np.ndarray) -> np.ndarray:
     """`_reduced` at every pixel of `bits`, 0 off it."""
     return _reduced(*_neighbor_planes(bits)) * bits
@@ -199,7 +184,9 @@ def _label_arcs(arcs: np.ndarray, skel: np.ndarray):
 
     Two diagonal arc pixels whose shared orthogonal pixel belongs to the
     skeleton (for instance a removed branch pixel) are not neighbors, so
-    arms meeting at a junction stay separate arcs.
+    arms meeting at a junction stay separate arcs.  The corner that blocks
+    a diagonal is read on the whole skeleton, not on the arcs being linked,
+    so these links are built here and not by `morph._shortcut_free`.
     """
     links = [arcs[s] & arcs[t] for s, t in _PAIRS]
     # the corners of an SE pair are the two pixels of the SW pair, and vice versa

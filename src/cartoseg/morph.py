@@ -83,6 +83,19 @@ def _neighbor_planes(img: np.ndarray, mode: str = "constant"):
     )
 
 
+def _shortcut_free(n, ne, e, se, s, sw, w, nw):
+    """The eight neighbour flags in `_neighbor_planes` order, less each diagonal
+    link that a shared orthogonal pixel also makes (Rosenfeld's m-adjacency)."""
+    # symmetric, and it isolates no pixel: the orthogonal pixel that makes a
+    # dropped diagonal redundant is itself a neighbour
+    return n, ne & ~n & ~e, e, se & ~s & ~e, s, sw & ~s & ~w, w, nw & ~n & ~w
+
+
+def _reduced(*flags):
+    """Neighbour count under `_shortcut_free`, a uint8 sum."""
+    return sum(_shortcut_free(*flags), np.zeros(flags[0].shape, dtype=np.uint8))
+
+
 def skeletonize(m: BinaryMask) -> BinaryMask:
     """Iterative two-subcycle thinning to a 1-pixel-wide skeleton that
     keeps every 8-connected component of the input."""

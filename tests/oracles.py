@@ -232,12 +232,23 @@ def naive_magnify(src: np.ndarray, factor: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_TRACE_ORDER = ((-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+# the tracer's neighbor order: N, NE, E, SE, S, SW, W, NW
+_TRACE_ORDER = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def m_adjacent(pixels: set, p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Whether pixels p and q of the set `pixels` are m-adjacent (Rosenfeld):
+    4-adjacent, or diagonal with neither of the two orthogonal pixels they
+    both touch in the set."""
+    (y, x), (v, u) = p, q
+    if max(abs(v - y), abs(u - x)) != 1:
+        return False
+    return y == v or x == u or ((y, u) not in pixels and (v, x) not in pixels)
 
 
 def set_trace_chains(final: np.ndarray) -> list[list[tuple[int, int]]]:
-    """`edges._trace_chains` over a set of (y, x) pixel tuples, a neighbor
-    dict and a set of traced pixel pairs.
+    """`edges._trace_chains` over a set of (y, x) pixel tuples, an
+    m-adjacency neighbor dict and a set of traced pixel pairs.
 
     Paths start and end at pixels whose degree differs from 2 and are
     walked through degree-2 pixels until a pair repeats; what remains
@@ -246,8 +257,9 @@ def set_trace_chains(final: np.ndarray) -> list[list[tuple[int, int]]]:
     """
     pixels = {(int(y), int(x)) for y, x in zip(*np.nonzero(final))}
     nbrs = {
-        (y, x): [(y + dy, x + dx) for dy, dx in _TRACE_ORDER if (y + dy, x + dx) in pixels]
-        for y, x in pixels
+        p: [q for q in ((p[0] + dy, p[1] + dx) for dy, dx in _TRACE_ORDER)
+            if q in pixels and m_adjacent(pixels, p, q)]
+        for p in pixels
     }
     used: set[frozenset] = set()
     chains = []

@@ -24,15 +24,6 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
-def exit_code(argv) -> int:
-    """What `cartoseg` exits with: main's return value, or the code of the
-    SystemExit that argparse raises for an unknown flag."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def truth_masks(tmp_path, corpus_dir):
     """A directory holding the truth masks of the corpus's first two scenes."""
     masks = tmp_path / "masks"
@@ -45,9 +36,11 @@ def truth_masks(tmp_path, corpus_dir):
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--kind", "volcano", "--out", "x"])
-        assert exc.value.code == 1
+        assert main(["synth", "--kind", "volcano", "--out", "x"]) == 1
+
+    def test_help_is_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: cartoseg" in capsys.readouterr().out
 
     def test_missing_file_is_two(self, tmp_path):
         rc = main(["edges", "--pan", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "e.json")])
@@ -115,8 +108,8 @@ class TestExitCodes:
     def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir, key, raw):
         """Keys the pipeline no longer has (se_shape, threshold_source,
         prune_spurs, build_models) fail as unknown flags."""
-        rc = exit_code(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
-                        f"--{key}", raw])
+        rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                   f"--{key}", raw])
         assert rc == 1
         assert not (tmp_path / "out").exists()
 

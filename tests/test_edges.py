@@ -25,6 +25,7 @@ from oracles import (
     bresenham_rasterize,
     dense_merge_chains,
     loop_smooth_chain,
+    m_adjacent,
     pointwise_canny,
     pointwise_sobel,
     set_trace_chains,
@@ -125,6 +126,10 @@ def traced_pixels(final):
     return [[(int(ys[k]), int(xs[k])) for k in path] for path in _trace_chains(final)]
 
 
+_frames = arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                 elements=st.booleans(), fill=st.nothing())
+
+
 class TestTraceChains:
     """Mutants these kill: `n > t` flipped or dropped, and the cycle's
     first pixel not marked before its walk."""
@@ -132,21 +137,27 @@ class TestTraceChains:
     DIAMOND = [(0, 1), (1, 0), (1, 2), (2, 1)]  # every pixel has degree 2
 
     def test_ring_is_one_open_path_back_to_its_start(self):
-        assert trace(self.DIAMOND) == [[(0, 1), (1, 0), (2, 1), (1, 2), (0, 1)]]
+        assert trace(self.DIAMOND) == [[(0, 1), (1, 2), (2, 1), (1, 0), (0, 1)]]
 
     def test_loop_hanging_off_a_terminal(self):
         assert trace(self.DIAMOND + [(3, 1)]) == [
+            [(2, 1), (1, 2), (0, 1), (1, 0), (2, 1)],
             [(2, 1), (3, 1)],
-            [(2, 1), (1, 0), (0, 1), (1, 2), (2, 1)],
         ]
 
     def test_adjacent_terminals_share_one_path(self):
         assert trace([(0, 0), (0, 1)]) == [[(0, 0), (0, 1)]]
-        # a 2 x 2 block: four junctions, each pair adjacent, six paths
-        assert trace([(0, 0), (0, 1), (1, 0), (1, 1)]) == [
-            [(0, 0), (0, 1)], [(0, 0), (1, 0)], [(0, 0), (1, 1)],
-            [(0, 1), (1, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 1)],
-        ]
+
+    def test_two_by_two_block_is_one_ring(self):
+        """The diagonals are shortcuts of the block's sides, so each pixel
+        has degree 2."""
+        assert trace([(0, 0), (0, 1), (1, 0), (1, 1)]) == [[(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]]
+
+    def test_four_connected_staircase_is_one_path(self):
+        """Plain 8-adjacency gives each corner pixel degree 3 and cuts this
+        staircase into 11 paths."""
+        stairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
+        assert trace(stairs) == [stairs]
 
     def test_isolated_pixels_and_empty_frame_give_no_path(self):
         assert trace([(0, 0), (0, 2), (5, 5)]) == []
@@ -154,10 +165,22 @@ class TestTraceChains:
         assert _trace_chains(np.zeros((0, 3), dtype=bool)) == []
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16)),
-                  elements=st.booleans(), fill=st.nothing()))
+    @given(_frames)
     def test_equals_pixel_set_oracle(self, final):
         assert traced_pixels(final) == set_trace_chains(final)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_frames)
+    def test_paths_cover_linked_pixels_by_m_adjacent_steps(self, final):
+        pixels = {(int(y), int(x)) for y, x in zip(*np.nonzero(final))}
+        paths = traced_pixels(final)
+        on_path = {p for path in paths for p in path}
+        for y, x in pixels:
+            has_neighbor = any((y + dy, x + dx) in pixels
+                               for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
+            assert ((y, x) in on_path) == has_neighbor
+        for path in paths:
+            assert all(m_adjacent(pixels, p, q) for p, q in zip(path, path[1:]))
 
 
 class TestRefineEdges:
