@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morph import _neighbor_planes, _shortcut_free
+from .morph import _link_lists, _neighbor_planes
 from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage
 from .spectral import _grow8
 
@@ -94,12 +94,7 @@ def _trace_chains(final: np.ndarray) -> list[list[int]]:
     # The rule is symmetric, so every pixel inside a path has degree 2 and a
     # flag per walked pixel marks the traced pixel pairs; two adjacent
     # terminals share one edge, which the one with the smaller index traces.
-    ys, xs = np.nonzero(final)
-    pos = final.cumsum().reshape(final.shape) * final  # 1 + index of each pixel, 0 off the set
-    planes = [q[ys, xs] for q in _neighbor_planes(pos)]
-    linked = _shortcut_free(*(q > 0 for q in planes))
-    table = np.stack([q * f for q, f in zip(planes, linked)], axis=1) - 1
-    nbrs = [[n for n in row if n >= 0] for row in table.tolist()]
+    nbrs = _link_lists(final)
     seen = [False] * len(nbrs)
 
     def walk(prev: int, cur: int) -> list[int]:

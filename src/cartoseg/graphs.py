@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .morph import (_PAIRS, EmptyMask, _label_links, _neighbor_planes, _reduced,
+from .morph import (_PAIRS, EmptyMask, _label_links, _link_lists, _neighbor_planes, _reduced,
                     label_components, skeletonize)
 from .raster import DOC_ERRORS, BinaryMask, FormatError
 
@@ -116,24 +116,28 @@ def _reduced_degree(bits: np.ndarray) -> np.ndarray:
 
 
 def _two_core(bits: np.ndarray) -> np.ndarray:
-    """Pixels on cycles: strip everything whose reduced degree is below 2,
-    pass after pass, until a pass strips nothing.
+    """Pixels on cycles: the 2-core of the pixels under `_shortcut_free`
+    links, peeled from a stack of the pixels of degree below 2, each popped
+    pixel decrementing its neighbours (Batagelj & Zaversnik, 2003).
 
-    The reduced degree reads a pixel's 3x3 window only, so after the first
-    pass only the 8-neighbours of the pixels just stripped are looked at
-    again.
+    Stripping a pixel can restore a diagonal link that it blocked, but
+    never between two pixels still there: the blocking pixel is
+    orthogonally adjacent to both ends of the diagonal, so its degree stays
+    at least 2 until one end is stripped.  The links of the input are
+    therefore those of every stage of the peel, and the result equals
+    stripping every pixel of reduced degree below 2, pass after pass.
     """
-    core = np.pad(bits, 1)
-    flat = core.ravel()  # a view: writes go to core
-    w = core.shape[1]
-    ring = np.array([-w, -w + 1, 1, w + 1, w, w - 1, -1, -w - 1])  # N, NE, ..., NW
-    cand = np.flatnonzero(flat)
-    while cand.size:
-        drop = cand[_reduced(*flat[cand[:, None] + ring].T) < 2]
-        flat[drop] = False
-        near = (drop[:, None] + ring).ravel()
-        cand = np.unique(near[flat[near]])
-    return core[1:-1, 1:-1]
+    nbrs = _link_lists(bits)
+    deg = [len(around) for around in nbrs]
+    stack = [p for p, d in enumerate(deg) if d < 2]
+    while stack:
+        for q in nbrs[stack.pop()]:
+            deg[q] -= 1
+            if deg[q] == 1:
+                stack.append(q)
+    core = np.zeros(bits.shape, dtype=bool)
+    core.flat[np.flatnonzero(bits)[np.array(deg, dtype=int) >= 2]] = True
+    return core
 
 
 def decompose(mask: BinaryMask, mode: str = "skeleton", resolution: float = 1.0) -> list[Primitive]:
@@ -407,6 +411,7 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
     compat, nbr = bits[:n], bits[n : 2 * n]
     of_v1 = [m for m in bits[2 * n : 2 * n + g1.size] if m]
     of_v2 = [m for m in bits[2 * n + g1.size :] if m]
+    sides = sorted((of_v1, of_v2), key=len)  # the side with fewer vertices first
 
     best = 0
     best_score = (0, -1)
@@ -432,14 +437,21 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
                     best, best_score = chosen, score
                 return
             # bound: k + the distinct vertices left on the smaller side, which
-            # is at least k + 1 and at most k + |cand|
+            # is at least k + 1 and at most k + |cand|; each side is counted
+            # only until it reaches `need`
             need = best_score[0] - k
-            if need > 1 and (
-                cand.bit_count() < need
-                or len([m for m in of_v1 if cand & m]) < need
-                or len([m for m in of_v2 if cand & m]) < need
-            ):
-                return
+            if need > 1:
+                if cand.bit_count() < need:
+                    return
+                for side in sides:
+                    left = need
+                    for m in side:
+                        if cand & m:
+                            left -= 1
+                            if not left:
+                                break
+                    else:
+                        return
             low = cand & -cand
             cand ^= low
             extend(chosen | low, k + 1, cand & compat[low.bit_length() - 1])

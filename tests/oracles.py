@@ -77,6 +77,67 @@ def bfs_label_components(bits: np.ndarray, connectivity: int = 8):
     return labels, count
 
 
+def random_connected_mask(rng, shape=(16, 16), steps=40):
+    """An 8-connected random walk from the frame's centre, clipped to it."""
+    bits = np.zeros(shape, dtype=bool)
+    y, x = shape[0] // 2, shape[1] // 2
+    bits[y, x] = True
+    for _ in range(steps):
+        dy, dx = rng.integers(-1, 2), rng.integers(-1, 2)
+        y = int(np.clip(y + dy, 0, shape[0] - 1))
+        x = int(np.clip(x + dx, 0, shape[1] - 1))
+        bits[y, x] = True
+    return bits
+
+
+def random_polyline_mask(rng, shape=(64, 64), corners=5):
+    """A connected polyline from the frame's centre through `corners` random
+    points, drawn with a pen of radius 0, 1 or 2: long arms, and cycles
+    where the line crosses itself."""
+    h, w = shape
+    pts = np.concatenate([[[h // 2, w // 2]], rng.integers(0, (h, w), size=(corners, 2))])
+    r2 = int(rng.integers(0, 3)) ** 2 + 0.5
+    yy, xx = np.mgrid[:h, :w]
+    bits = np.zeros(shape, dtype=bool)
+    for (y0, x0), (y1, x1) in zip(pts[:-1], pts[1:]):
+        for t in np.linspace(0, 1, 2 * max(abs(y1 - y0), abs(x1 - x0)) + 1):
+            bits |= (yy - y0 - t * (y1 - y0)) ** 2 + (xx - x0 - t * (x1 - x0)) ** 2 <= r2
+    return bits
+
+
+def frame_zhang_suen(bits: np.ndarray) -> np.ndarray:
+    """Two-subcycle Zhang-Suen thinning by whole-frame passes: each subcycle
+    tests every pixel, until a full cycle of both deletes none.  Then each
+    component the thinning emptied gets back its first pixel in row-major
+    order."""
+    img = bits.copy()
+    h, w = img.shape
+    ring = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))  # N, NE, ..., NW
+    changed = True
+    while changed:
+        changed = False
+        for step in (0, 1):
+            p = np.pad(img, 1)
+            p2, p3, p4, p5, p6, p7, p8, p9 = (p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] for dy, dx in ring)
+            seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
+            b = sum(x.astype(np.uint8) for x in seq[:8])
+            a = sum((~seq[i] & seq[i + 1]).astype(np.uint8) for i in range(8))
+            cond = img & (b >= 2) & (b <= 6) & (a == 1)
+            if step == 0:
+                cond &= ~(p2 & p4 & p6) & ~(p4 & p6 & p8)
+            else:
+                cond &= ~(p2 & p4 & p8) & ~(p2 & p6 & p8)
+            if cond.any():
+                img &= ~cond
+                changed = True
+    labels, count = bfs_label_components(bits, 8)
+    for label in range(1, count + 1):
+        if not (img & (labels == label)).any():
+            ys, xs = np.nonzero(labels == label)
+            img[ys[0], xs[0]] = True
+    return img
+
+
 def bfs_label_links(bits: np.ndarray, links) -> tuple[np.ndarray, int]:
     """`morph._label_links` as a stack flood fill over explicit links:
     ``links[k][y, x]`` joins the pixel at (y, x) of the first slice of the
@@ -797,11 +858,9 @@ def pointwise_reduced_degree(bits: np.ndarray) -> np.ndarray:
 def pass_two_core(bits: np.ndarray) -> np.ndarray:
     """Two-core by synchronous full-frame passes: every pass strips all
     pixels whose reduced degree is below 2, until a pass strips none."""
-    from cartoseg.graphs import _reduced_degree
-
     core = bits.copy()
     while True:
-        keep = core & (_reduced_degree(core) >= 2)
+        keep = core & (pointwise_reduced_degree(core) >= 2)
         if np.array_equal(keep, core):
             return core
         core = keep

@@ -52,6 +52,7 @@ from oracles import (
     pointwise_reduced_degree,
     probe_induced_subgraph,
     random_arg,
+    random_polyline_mask,
     roundtrip_model_to_json,
 )
 
@@ -246,6 +247,14 @@ class TestTwoCoreOracle:
         got = _two_core(bits)
         assert got.dtype == bool
         assert np.array_equal(got, pass_two_core(bits))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_pass_loop_on_long_arms(self, seed):
+        """Skeletons of 64x64 connected polylines, whose arms take the pass
+        loop dozens of passes to strip."""
+        skel = skeletonize(BinaryMask(random_polyline_mask(np.random.default_rng(seed)))).bits
+        assert np.array_equal(_two_core(skel), pass_two_core(skel))
 
 
 class TestBuildArg:

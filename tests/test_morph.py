@@ -18,12 +18,20 @@ from oracles import (
     bfs_label_components,
     bfs_label_links,
     disk_offsets,
+    frame_zhang_suen,
     naive_dilate,
     naive_external_boundary,
+    random_connected_mask,
     square_offsets,
 )
 
 mask16 = arrays(bool, (16, 16), fill=st.nothing())  # every pixel drawn
+
+
+def frames(max_side, elements=st.booleans()):
+    """Frames of 1..max_side rows and columns, every pixel drawn."""
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side)).flatmap(
+        lambda shape: arrays(bool, shape, elements=elements, fill=st.nothing()))
 
 
 def put(shape, coords):
@@ -116,18 +124,6 @@ class TestExternalBoundary:
         assert not (out.bits & bits).any()
 
 
-def random_connected_mask(rng, shape=(16, 16), steps=40):
-    bits = np.zeros(shape, dtype=bool)
-    y, x = shape[0] // 2, shape[1] // 2
-    bits[y, x] = True
-    for _ in range(steps):
-        dy, dx = rng.integers(-1, 2), rng.integers(-1, 2)
-        y = int(np.clip(y + dy, 0, shape[0] - 1))
-        x = int(np.clip(x + dx, 0, shape[1] - 1))
-        bits[y, x] = True
-    return bits
-
-
 class TestSkeletonize:
     def test_empty_raises(self):
         with pytest.raises(EmptyMask):
@@ -176,6 +172,33 @@ class TestSkeletonize:
             for dx in (-1, 0, 1):
                 solid &= p[1 + dy : 17 + dy, 1 + dx : 17 + dx]
         assert not solid.any()
+
+
+class TestSkeletonOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        frames(24),
+        frames(24, st.sampled_from((False, False, False, True))),  # sparse
+        frames(24, st.sampled_from((True, True, True, True, False))),  # dense
+    ))
+    def test_equals_frame_loop(self, bits):
+        if bits.any():
+            assert np.array_equal(skeletonize(BinaryMask(bits)).bits, frame_zhang_suen(bits))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(229576)  # blobs the parallel thinning alone deletes whole
+    @example(529495)
+    def test_equals_frame_loop_on_walks(self, seed):
+        bits = random_connected_mask(np.random.default_rng(seed))
+        assert np.array_equal(skeletonize(BinaryMask(bits)).bits, frame_zhang_suen(bits))
+
+    def test_restores_only_the_emptied_component(self):
+        # the first subcycle deletes the whole 2x2 block; the line stays
+        m = put((6, 9), [(1, 1), (1, 2), (2, 1), (2, 2), (4, 4), (4, 5), (4, 6), (4, 7)])
+        out = skeletonize(m).bits
+        assert np.array_equal(out, frame_zhang_suen(m.bits))
+        assert np.array_equal(np.argwhere(out), [(1, 1), (4, 4), (4, 5), (4, 6), (4, 7)])
 
 
 class TestLabelComponents:

@@ -1,5 +1,5 @@
-"""Smoke test of the experiment script: what it prints is what the
-reports it wrote hold."""
+"""Smoke tests of the scripts: what the experiment script prints is what
+the reports it wrote hold, and the pair runner's summary of canned results."""
 
 import importlib.util
 import json
@@ -10,13 +10,18 @@ from cartoseg.pipeline import PipelineConfig, shape_graph
 from cartoseg.raster import read_mask, read_raster
 from cartoseg.synth import load_truth
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "quality.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_quality_prints_the_report_numbers(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("quality", SCRIPT)
-    quality = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(quality)
+    quality = load_script("quality")
     assert quality.main(["--n", "1", "--levels", "0", "8", "--out", str(tmp_path)]) == 0
     blocks = capsys.readouterr().out.strip().split("\n\n")
     assert len(blocks) == 2
@@ -52,3 +57,48 @@ def test_quality_prints_the_report_numbers(tmp_path, capsys):
             g = shape_graph(read_mask(corpus / entry["files"]["truth_mask"]), resolution, PipelineConfig())
             iso = int(is_isomorphic(g, truth))
             assert line == f"truth[{kind}]: {iso}/1 isomorphic, mean distance {graph_distance(g, truth):.6f}"
+
+
+def result_line(wall: float, share: float) -> str:
+    """A canned last line of `perfbench/run.py`."""
+    return json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"}, "correct_share": {"value": share, "unit": "ratio"}}})
+
+
+END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "correct_share", "better": "higher"}]
+# (parent, change) per pair: the change is faster in pairs 1, 3 and 4, and
+# has the higher share in pair 3 only
+CANNED = [((3.0, 1.0), (2.0, 1.0)), ((2.0, 1.0), (2.5, 0.9)),
+          ((4.0, 0.9), (1.0, 1.0)), ((5.0, 1.0), (1.5, 1.0))]
+
+
+def test_pairs_summary_of_canned_results():
+    pairs = load_script("pairs")
+    lines = [(result_line(*p), result_line(*c)) for p, c in CANNED]
+    assert pairs.summarize("w", lines, END_TO_END) == [
+        "w wall_s: parent 3.5 [2.75, 4.25]  change 1.75 [1.375, 2.125]  better in 3/4",
+        "w correct_share: parent 1 [0.975, 1]  change 1 [0.975, 1]  better in 1/4",
+    ]
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
+    pairs = load_script("pairs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": END_TO_END}))
+    calls = []
+    canned = {parent: iter(p for p, _ in CANNED), change: iter(c for _, c in CANNED)}
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        return result_line(*next(canned[checkout]))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main([str(parent), str(change), "--pairs", "4", "--log", str(tmp_path / "log")]) == 0
+    assert calls == [parent, change, change, parent, parent, change, change, parent]
+    assert capsys.readouterr().out.splitlines() == pairs.summarize(
+        "w", [(result_line(*p), result_line(*c)) for p, c in CANNED], END_TO_END)
+    logged = [json.loads(line) for line in (tmp_path / "log").read_text().splitlines()]
+    assert [(r["pair"], r["side"]) for r in logged[:4]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
