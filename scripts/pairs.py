@@ -4,9 +4,14 @@
 For each workload, runs ``perfbench/run.py --trace 0`` in the root of each
 checkout ``--pairs`` times, alternating which of the two runs first, then
 prints per end-to-end metric the median and quartiles [25 %, 75 %] of each
-side's runs and in how many pairs the change did better.  Metric names and
-which way is better come from the change checkout's ``BENCHMARK.json``;
-``--log`` keeps every run's result line.
+side's runs, in how many pairs the change did better, and a verdict:
+``gain`` when at least ten pairs ran, the change did better in at least 9 of
+10 of them and its median is better than the parent's by more than the
+parent's interquartile range; ``worse`` when its median is worse by more
+than the metric's ``bound`` (a fraction of the parent's median); and
+``unresolved`` otherwise.  Metric names, which way is better and the bounds
+come from the change checkout's ``BENCHMARK.json``; ``--log`` keeps every
+run's result line.
 
 Example (ten pairs of the models workload, twenty seconds a run):
     python scripts/pairs.py ../parent . --workloads models_loo --pairs 10
@@ -45,8 +50,15 @@ def summarize(workload: str, pairs: list[tuple[str, str]], end_to_end: list[dict
                           for side in (0, 1))
         wins = int(np.sum(sign * (change - parent) < 0))
         (p25, p50, p75), (c25, c50, c75) = (np.percentile(v, [25, 50, 75]) for v in (parent, change))
+        if len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and sign * (p50 - c50) > p75 - p25:
+            verdict = "gain"
+        elif sign * (c50 - p50) > spec["bound"] * abs(p50):
+            verdict = "worse"
+        else:
+            verdict = "unresolved"
         out.append(f"{workload} {name}: parent {p50:.4g} [{p25:.4g}, {p75:.4g}]  "
-                   f"change {c50:.4g} [{c25:.4g}, {c75:.4g}]  better in {wins}/{len(pairs)}")
+                   f"change {c50:.4g} [{c25:.4g}, {c75:.4g}]  better in {wins}/{len(pairs)}  "
+                   f"{verdict}")
     return out
 
 

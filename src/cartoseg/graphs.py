@@ -380,38 +380,53 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
     resolve toward more common edges, then the lexicographically smallest
     mapping.  Raises BudgetExceeded rather than approximating.
 
-    Vertex pairs are numbered in (v1, v2) order, and candidate sets are
-    Python ints with one bit per pair (bit-parallel max-clique search, San
-    Segundo et al., Computers & OR 38(2), 2011).  Each search call takes the
-    lowest candidate, so the nodes visited, and hence where the budget
-    trips, are those of the plain list search.
+    Vertex pairs of one kind are numbered in (v1, v2) order, and candidate
+    sets are Python ints with one bit per pair (bit-parallel max-clique
+    search, San Segundo et al., Computers & OR 38(2), 2011).  Each search
+    call takes the lowest candidate, so the nodes visited, and hence where
+    the budget trips, are those of the plain list search.
+
+    The association graph is built from per-vertex bitsets in
+    O(pairs x edge attributes) int operations, never as a pairs x pairs
+    array: each vertex holds the bitset of its pairs, and for each edge
+    attribute the union of its neighbours' bitsets.  Pair (a, b) is then
+    compatible with the pairs whose vertices are adjacent to neither a nor
+    b, and with those adjacent to both under one attribute.
     """
-    codes: dict = {}
+    by_kind: dict[str, list[int]] = {}
+    for b, kind in g2.vertices:
+        by_kind.setdefault(kind, []).append(b)
+    pairs = [(a, b) for a, kind in g1.vertices for b in by_kind.get(kind, ())]
+    n = len(pairs)
+    of1, of2 = [0] * g1.size, [0] * g2.size  # the pairs of each vertex
+    for i, (a, b) in enumerate(pairs):
+        of1[a] |= 1 << i
+        of2[b] |= 1 << i
+    full = (1 << n) - 1
 
-    def coded(g: Arg):
-        kinds = np.array([codes.setdefault(k, len(codes)) for _, k in g.vertices], dtype=np.int64)
-        attrs = np.zeros((g.size, g.size), dtype=np.int64)  # 0: no edge
+    def around(g: Arg, of: list[int]):
+        """Per vertex: the pairs on its neighbours, by edge attribute and in
+        all, and the pairs on neither it nor a neighbour."""
+        near: list[dict] = [{} for _ in range(g.size)]
+        adjacent = [0] * g.size
         for a, b, conn, d in g.edges:
-            attrs[a, b] = attrs[b, a] = codes.setdefault((conn, d), len(codes) + 1)
-        return kinds, attrs
+            attr, near_a, near_b = (conn, d), near[a], near[b]
+            near_a[attr] = near_a.get(attr, 0) | of[b]
+            near_b[attr] = near_b.get(attr, 0) | of[a]
+            adjacent[a] |= of[b]
+            adjacent[b] |= of[a]
+        return near, adjacent, [full ^ (mine | adj) for mine, adj in zip(of, adjacent)]
 
-    (k1, at1), (k2, at2) = coded(g1), coded(g2)
-    pa, pb = np.nonzero(k1[:, None] == k2)
-    n, pa1, pb1 = len(pa), pa[:, None], pb[:, None]
-    edges1 = at1[pa1, pa]
-    rows = np.concatenate([
-        (pa1 != pa) & (pb1 != pb) & (edges1 == at2[pb1, pb]),  # compatible pairs
-        edges1 != 0,  # pairs whose g1 vertices are adjacent
-        np.arange(g1.size)[:, None] == pa,  # the pairs of each g1 vertex
-        np.arange(g2.size)[:, None] == pb,
-    ])
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    buf, step = packed.tobytes(), max(packed.shape[1], 1)  # no pairs: no bytes
-    bits = [int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step)]
-    compat, nbr = bits[:n], bits[n : 2 * n]
-    of_v1 = [m for m in bits[2 * n : 2 * n + g1.size] if m]
-    of_v2 = [m for m in bits[2 * n + g1.size :] if m]
-    sides = sorted((of_v1, of_v2), key=len)  # the side with fewer vertices first
+    (near1, nbr1, far1), (near2, _, far2) = around(g1, of1), around(g2, of2)
+    compat = []
+    for a, b in pairs:
+        c, by_attr = far1[a] & far2[b], near2[b]
+        for attr, m in near1[a].items():
+            if attr in by_attr:
+                c |= m & by_attr[attr]
+        compat.append(c)
+    nbr = [nbr1[a] for a, _ in pairs]  # pairs whose g1 vertices are adjacent
+    sides = sorted(([m for m in of1 if m], [m for m in of2 if m]), key=len)  # fewer vertices first
 
     best = 0
     best_score = (0, -1)
@@ -456,8 +471,8 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
             cand ^= low
             extend(chosen | low, k + 1, cand & compat[low.bit_length() - 1])
 
-    extend(0, 0, (1 << n) - 1)
-    return [(int(pa[i]), int(pb[i])) for i in range(n) if best >> i & 1]
+    extend(0, 0, full)
+    return [pair for i, pair in enumerate(pairs) if best >> i & 1]
 
 
 def _induced_subgraph(g: Arg, keep: list[int]) -> Arg:
@@ -525,15 +540,24 @@ def is_isomorphic(g1: Arg, g2: Arg) -> bool:
 
 def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
     """One representative per exact-isomorphism class with enough support,
-    ordered by descending frequency (ties keep first appearance)."""
-    groups: list[tuple[Arg, int]] = []
+    ordered by descending frequency (ties keep first appearance).
+
+    Only graphs with equal invariants (sorted kinds, sorted edge attributes)
+    can be isomorphic, so each graph is tested against its invariant's
+    groups alone."""
+    groups: list[list] = []  # [representative, count], in order of appearance
+    by_invariant: dict[tuple, list[list]] = {}
     for g in args:
-        for i, (rep, count) in enumerate(groups):
-            if is_isomorphic(g, rep):
-                groups[i] = (rep, count + 1)
+        key = (tuple(sorted(k for _, k in g.vertices)), tuple(sorted(e[2:] for e in g.edges)))
+        same = by_invariant.setdefault(key, [])
+        for group in same:
+            if is_isomorphic(g, group[0]):
+                group[1] += 1
                 break
         else:
-            groups.append((g, 1))
+            group = [g, 1]
+            same.append(group)
+            groups.append(group)
     ranked = sorted(groups, key=lambda group: -group[1])  # stable: ties keep first appearance
     return [rep for rep, count in ranked if count >= min_support]
 

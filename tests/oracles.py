@@ -866,6 +866,23 @@ def pass_two_core(bits: np.ndarray) -> np.ndarray:
         core = keep
 
 
+def scan_prototypes(args, min_support: int = 1):
+    """Prototypes by a linear scan: each graph joins the first earlier
+    group whose representative is isomorphic to it."""
+    from cartoseg.graphs import is_isomorphic
+
+    groups = []
+    for g in args:
+        for group in groups:
+            if is_isomorphic(g, group[0]):
+                group[1] += 1
+                break
+        else:
+            groups.append([g, 1])
+    ranked = sorted(groups, key=lambda group: -group[1])
+    return [rep for rep, count in ranked if count >= min_support]
+
+
 def list_mcs_mapping(g1, g2, node_budget: int):
     """Branch and bound over the association graph with list candidate
     sets and a dense compatibility matrix.  Returns (mapping, nodes); the

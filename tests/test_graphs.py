@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from oracles import (
     random_arg,
     random_polyline_mask,
     roundtrip_model_to_json,
+    scan_prototypes,
 )
 
 EE = ("end-to-end", "E")
@@ -367,6 +369,40 @@ class TestMcsOracle:
             else:
                 assert _mcs_mapping(g1, g2, budget) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_args(20), small_args(5))
+    def test_supergraph_sized_calls_match_list_search(self, g1, g2):
+        """The model fold's supergraph calls pair a g1 of up to 20 vertices
+        with a small prototype.  Under a capped budget (about one draw in
+        ten needs more nodes) both searches raise, or both return the same
+        mapping after the same number of nodes."""
+        budget = 100
+        try:
+            want, nodes = list_mcs_mapping(g1, g2, budget)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                _mcs_mapping(g1, g2, budget)
+            return
+        assert _mcs_mapping(g1, g2, budget) == _mcs_mapping(g1, g2, nodes) == want
+        if nodes > 1:
+            with pytest.raises(BudgetExceeded):
+                _mcs_mapping(g1, g2, nodes - 1)
+
+    def test_large_graph_set_up_memory_is_bounded(self):
+        """A 60-vertex ring of one kind against itself has 3,600 vertex
+        pairs; a pairs x pairs association array would take hundreds of MB
+        before the budget could trip."""
+        n = 60
+        g = Arg([(i, "segment") for i in range(n)], [(i, (i + 1) % n, *EE) for i in range(n)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                graph_distance(g, g, node_budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestGraphAssemblyOracle:
     @settings(max_examples=300, deadline=None)
@@ -462,6 +498,16 @@ class TestPrototypes:
         y = path(["c", "c"])
         protos = find_prototypes([y, x, x], min_support=1)
         assert is_isomorphic(protos[0], x)  # most frequent first
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_args(4), max_size=12), st.data(), st.integers(1, 3))
+    def test_same_prototypes_as_linear_scan(self, graphs, data, min_support):
+        """Relabelled copies make the isomorphism classes hold more than one
+        graph; the representatives and their order match the scan's."""
+        copies = [self.relabeled(g, data.draw(st.permutations(range(g.size)))) for g in graphs]
+        args = data.draw(st.permutations(graphs + copies))
+        got = find_prototypes(args, min_support)
+        assert [id(g) for g in got] == [id(g) for g in scan_prototypes(args, min_support)]
 
 
 def bridge_variants():

@@ -65,20 +65,33 @@ def result_line(wall: float, share: float) -> str:
         "wall_s": {"value": wall, "unit": "s"}, "correct_share": {"value": share, "unit": "ratio"}}})
 
 
-END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "correct_share", "better": "higher"}]
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "correct_share", "better": "higher", "bound": 0.1}]
 # (parent, change) per pair: the change is faster in pairs 1, 3 and 4, and
 # has the higher share in pair 3 only
 CANNED = [((3.0, 1.0), (2.0, 1.0)), ((2.0, 1.0), (2.5, 0.9)),
           ((4.0, 0.9), (1.0, 1.0)), ((5.0, 1.0), (1.5, 1.0))]
+# ten pairs: the change is faster in all but the first, and its share is
+# 20 % below the parent's in every pair
+CANNED_10 = [((3.0 + 0.1 * i, 1.0), (2.0 + 0.1 * i if i else 3.5, 0.8)) for i in range(10)]
 
 
 def test_pairs_summary_of_canned_results():
     pairs = load_script("pairs")
     lines = [(result_line(*p), result_line(*c)) for p, c in CANNED]
+    # the wall-time medians lie further apart than the parent's quartiles,
+    # but four pairs are too few
     assert pairs.summarize("w", lines, END_TO_END) == [
-        "w wall_s: parent 3.5 [2.75, 4.25]  change 1.75 [1.375, 2.125]  better in 3/4",
-        "w correct_share: parent 1 [0.975, 1]  change 1 [0.975, 1]  better in 1/4",
+        "w wall_s: parent 3.5 [2.75, 4.25]  change 1.75 [1.375, 2.125]  better in 3/4  unresolved",
+        "w correct_share: parent 1 [0.975, 1]  change 1 [0.975, 1]  better in 1/4  unresolved",
     ]
+    lines = [(result_line(*p), result_line(*c)) for p, c in CANNED_10]
+    assert pairs.summarize("w", lines, END_TO_END) == [
+        "w wall_s: parent 3.45 [3.225, 3.675]  change 2.55 [2.325, 2.775]  better in 9/10  gain",
+        "w correct_share: parent 1 [1, 1]  change 0.8 [0.8, 0.8]  better in 0/10  worse",
+    ]
+    # three pairs that all favour the change are too few for a gain
+    assert pairs.summarize("w", lines[1:4], END_TO_END)[0].endswith("better in 3/3  unresolved")
 
 
 def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
