@@ -142,19 +142,26 @@ def clip_center(img, out_w: int, out_h: int):
 def _bilinear(src: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """`src` sampled at every (row, column) pair of the positions `sy` and
     `sx`, each from 0 to its axis's last index, by blending the four
-    surrounding pixels (the last row or column blends with itself)."""
+    surrounding pixels (the last row or column blends with itself):
+    src[y0, x0] * (1 - fy) * (1 - fx) + src[y0, x1] * (1 - fy) * fx + ...,
+    summed left to right.  Products associate left first, so weighting the
+    source's rows once, then gathering, scaling and adding the columns in
+    that order gives the formula's bits with fewer passes over the output."""
     y0 = sy.astype(int)
     x0 = sx.astype(int)
     y1 = np.minimum(y0 + 1, src.shape[0] - 1)
     x1 = np.minimum(x0 + 1, src.shape[1] - 1)
     fy = (sy - y0)[:, None]
-    fx = (sx - x0)[None, :]
-    return (
-        src[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + src[np.ix_(y0, x1)] * (1 - fy) * fx
-        + src[np.ix_(y1, x0)] * fy * (1 - fx)
-        + src[np.ix_(y1, x1)] * fy * fx
-    )
+    fx = sx - x0
+    top, bot = src[y0] * (1 - fy), src[y1] * fy
+    out = top.take(x0, axis=1)
+    out *= 1 - fx
+    term = np.empty_like(out)
+    for rows, cols, w in ((top, x1, fx), (bot, x0, 1 - fx), (bot, x1, fx)):
+        rows.take(cols, axis=1, out=term, mode="clip")
+        term *= w
+        out += term
+    return out
 
 
 def magnify(img, factor: int):

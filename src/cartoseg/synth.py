@@ -45,6 +45,11 @@ _MS_BG = (150.0, 150.0, 22.0)
 _MS_RIVER = (130.0, 130.0, 32.0)
 _MS_CLUTTER = (190.0, 190.0, 32.0)
 _MS_ROAD = (200.0, 200.0, 30.0)
+# per class of the scene's label canvas: background, river, clutter, road.
+# Multispectral bands 0 and 1 are equal in every class, and generate_scene
+# renders their shared canvas once
+_PAN_LUT = np.array([_PAN_BG, _PAN_RIVER, _PAN_CLUTTER, _PAN_ROAD])
+_MS_LUT = np.array([_MS_BG, _MS_RIVER, _MS_CLUTTER, _MS_ROAD]).T
 _TEXTURE_AMPLITUDE = 6.0
 _MS_TEXTURE_AMPLITUDE = 4.0
 _TEXTURE_CELL = 16
@@ -77,14 +82,20 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SpecError(f"unknown scene kind {self.kind!r}")
-        if self.road_width_m <= 0 or self.circle_radius_m <= 0:
+        reals = [self.road_width_m, self.circle_radius_m, self.noise, self.pan_res, self.ms_res]
+        if not all(math.isfinite(v) for v in reals + [self.main_angle or 0.0]):
+            raise SpecError("geometry, bearing, noise and resolutions must be finite")
+        counts = (self.clutter, self.seed, self.pan_size, self.ms_margin)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise SpecError("clutter, seed, pan size and margin must be integers")
+        if min(self.road_width_m, self.circle_radius_m, self.pan_res, self.pan_size) <= 0:
             raise SpecError("geometry must be positive")
         if self.kind == "roundabout" and self.circle_radius_m <= self.road_width_m / 2:
             raise SpecError("ring radius must exceed half the road width")
         if max(abs(self.offset[0]), abs(self.offset[1])) > 10:
             raise SpecError("offsets are limited to +/-10 pixels")
-        if self.noise < 0 or self.clutter < 0:
-            raise SpecError("noise and clutter must be non-negative")
+        if min(self.noise, self.clutter, self.seed, self.ms_margin) < 0:
+            raise SpecError("noise, clutter, seed and margin must be non-negative")
         factor = self.ms_res / self.pan_res
         if abs(factor - round(factor)) > 1e-9 or factor < 1:
             raise SpecError("ms resolution must be an integer multiple of pan resolution")
@@ -104,13 +115,14 @@ class GroundTruth:
     primitives: list[Primitive] = field(default_factory=list)
 
 
-def _value_noise(rng: np.random.Generator, shape: tuple[int, int], amplitude: float) -> np.ndarray:
-    """Smooth low-frequency texture: a coarse random grid, bilinearly upsampled."""
+def _value_noise(rng, shape: tuple[int, int], amplitude: float, window=np.s_[:, :]) -> np.ndarray:
+    """Smooth low-frequency texture: a coarse random grid, bilinearly
+    upsampled to `shape`, of which only the slices `window` are evaluated."""
     gh = shape[0] // _TEXTURE_CELL + 2
     gw = shape[1] // _TEXTURE_CELL + 2
     grid = rng.normal(0.0, 1.0, (gh, gw))
-    ys = np.arange(shape[0]) / _TEXTURE_CELL
-    xs = np.arange(shape[1]) / _TEXTURE_CELL
+    ys = np.arange(shape[0])[window[0]] / _TEXTURE_CELL
+    xs = np.arange(shape[1])[window[1]] / _TEXTURE_CELL
     return amplitude * _bilinear(grid, ys, xs)
 
 
@@ -162,7 +174,10 @@ def _truth_primitives(spec: SceneSpec, main_angle: float) -> list[Primitive]:
 
 
 def generate_scene(spec: SceneSpec):
-    """Render one scene; returns (pan, ms, truth)."""
+    """Render one scene; returns (pan, ms, truth).  Identical rasters need
+    the draws from the `spec.seed` generator in this order: the bearing
+    (if unset), the pan then the two multispectral texture grids, the
+    clutter blocks, the pan noise, then each multispectral band's noise."""
     rng = np.random.default_rng(spec.seed)
     main_angle = spec.main_angle if spec.main_angle is not None else float(rng.uniform(0, math.pi))
 
@@ -170,21 +185,20 @@ def generate_scene(spec: SceneSpec):
     margin = spec.ms_margin * factor
     big = spec.pan_size + 2 * margin
     cy = cx = (big - 1) / 2.0
-    yy, xx = np.mgrid[0:big, 0:big].astype(np.float64)
+    xx = np.arange(big, dtype=np.float64)
+    yy = xx[:, None]
     w_px = spec.road_width_m / spec.pan_res
 
-    river = np.zeros((big, big), dtype=bool)
-    island = np.zeros((big, big), dtype=bool)
+    # surface classes, each later one painted over the earlier:
+    # background 0, river 1, clutter 2, road 3
+    label = np.zeros((big, big), dtype=np.uint8)
     if spec.kind == "bridge":
-        t1 = main_angle
         tr = main_angle + math.pi / 2  # the river crosses at right angles
-        main_road = _bar(yy, xx, cx, cy, t1, w_px)
-        river = _bar(yy, xx, cx, cy, tr, _RIVER_WIDTH_M / spec.pan_res)
+        label[_bar(yy, xx, cx, cy, tr, _RIVER_WIDTH_M / spec.pan_res)] = 1
         d_sec = (_RIVER_WIDTH_M / 2.0 + _SECONDARY_GAP_M + spec.road_width_m / 2.0) / spec.pan_res
         sx = cx - math.sin(tr) * d_sec
         sy = cy + math.cos(tr) * d_sec
-        secondary = _bar(yy, xx, sx, sy, tr, w_px)
-        obj = main_road | secondary
+        obj = _bar(yy, xx, cx, cy, main_angle, w_px) | _bar(yy, xx, sx, sy, tr, w_px)
     else:
         radius_px = spec.circle_radius_m / spec.pan_res
         rr = np.hypot(xx - cx, yy - cy)
@@ -195,11 +209,13 @@ def generate_scene(spec: SceneSpec):
         )
         obj = ring | (arms & ~island)
 
-    tex_pan = _value_noise(rng, (big, big), _TEXTURE_AMPLITUDE)
+    # pan frame: central window shifted against the injected offset
+    ox, oy = spec.offset
+    frame = np.s_[margin - oy : margin - oy + spec.pan_size, margin - ox : margin - ox + spec.pan_size]
+    tex_pan = _value_noise(rng, (big, big), _TEXTURE_AMPLITUDE, frame)
     tex_ms_a = _value_noise(rng, (big, big), _MS_TEXTURE_AMPLITUDE)
     tex_ms_b = _value_noise(rng, (big, big), _MS_TEXTURE_AMPLITUDE)
 
-    clutter = np.zeros((big, big), dtype=bool)
     gap = _CLUTTER_GAP_PX
     placed = 0
     attempts = 0
@@ -214,32 +230,16 @@ def generate_scene(spec: SceneSpec):
         ]
         if window.any():
             continue
-        clutter[y0 : y0 + ch, x0 : x0 + cw] = True
+        label[y0 : y0 + ch, x0 : x0 + cw] = 2
         placed += 1
+    label[obj] = 3
 
-    textured = ~(obj | clutter)  # paved surfaces render flat
+    textured = label < 2  # paved surfaces render flat
+    pan = _PAN_LUT[label[frame]] + tex_pan * textured[frame]
+    ms_a, ms_b = (_MS_LUT[b][label] + tex * textured for b, tex in ((0, tex_ms_a), (2, tex_ms_b)))
+    ms_canvas = (ms_a, ms_a, ms_b)
 
-    # panchromatic canvas
-    pan_canvas = np.where(river, _PAN_RIVER, _PAN_BG)
-    pan_canvas = np.where(clutter, _PAN_CLUTTER, pan_canvas)
-    pan_canvas = np.where(obj, _PAN_ROAD, pan_canvas)
-    pan_canvas = pan_canvas + tex_pan * textured
-
-    # multispectral canvas (three channels)
-    ms_canvas = []
-    for idx in range(3):
-        tex = (tex_ms_a, tex_ms_a, tex_ms_b)[idx]
-        c = np.where(river, _MS_RIVER[idx], _MS_BG[idx])
-        c = np.where(clutter, _MS_CLUTTER[idx], c)
-        c = np.where(obj, _MS_ROAD[idx], c)
-        ms_canvas.append(c + tex * textured)
-
-    # pan frame: central window shifted against the injected offset
-    ox, oy = spec.offset
-    y0 = margin - oy
-    x0 = margin - ox
-    pan = pan_canvas[y0 : y0 + spec.pan_size, x0 : x0 + spec.pan_size].copy()
-    truth_bits = obj[y0 : y0 + spec.pan_size, x0 : x0 + spec.pan_size].copy()
+    truth_bits = obj[frame].copy()
     if spec.noise > 0:
         pan += rng.normal(0.0, spec.noise, pan.shape)
     pan_img = ScalarImage(

@@ -50,6 +50,12 @@ class TestExitCodes:
         assert main(["synth", "--n", "-3", "--out", str(tmp_path / "corpus")]) == 1
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_one(self, tmp_path, noise, capsys):
+        assert main(["synth", "--n", "2", "--noise", noise, "--out", str(tmp_path / "corpus")]) == 1
+        assert not (tmp_path / "corpus").exists()
+        assert "finite" in capsys.readouterr().err
+
     def test_budget_exceeded_is_three(self, tmp_path, corpus_dir):
         rc = main(["model", "--masks", str(truth_masks(tmp_path, corpus_dir)),
                    "--out", str(tmp_path / "m.json"), "--node_budget", "2"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cartoseg.raster import (
     BinaryMask,
@@ -10,6 +11,7 @@ from cartoseg.raster import (
     FormatError,
     MultiSpectralImage,
     ScalarImage,
+    _bilinear,
     clip_center,
     magnify,
     read_mask,
@@ -17,7 +19,7 @@ from cartoseg.raster import (
     translate,
     write_raster,
 )
-from oracles import naive_magnify
+from oracles import bilinear_at, naive_magnify
 
 
 def gradient_image(w, h, dtype=np.uint8):
@@ -104,10 +106,22 @@ class TestMagnify:
         src = np.array([[0.0, 4.0], [8.0, 12.0]])
         out = magnify(ScalarImage(src), 4)
         expected = naive_magnify(src, 4)
-        assert np.allclose(out.data, expected)
+        assert np.array_equal(out.data, expected)
         assert out.data.min() == 0.0 and out.data.max() == 12.0
         assert (np.diff(out.data, axis=0) >= 0).all()
         assert (np.diff(out.data, axis=1) >= 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bilinear_equals_four_term_formula(self, data):
+        """At any in-range positions every sample has the bits of the
+        four-term formula of `oracles.bilinear_at`, edges included."""
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        src = data.draw(arrays(np.float64, (h, w), elements=st.floats(-1e3, 1e3)))
+        sy = np.array(data.draw(st.lists(st.floats(0, h - 1), min_size=1, max_size=5)))
+        sx = np.array(data.draw(st.lists(st.floats(0, w - 1), min_size=1, max_size=5)))
+        want = np.array([[bilinear_at(src, x, y) for x in sx] for y in sy])
+        assert np.array_equal(_bilinear(src, sy, sx), want)
 
     def test_resolution_scales(self):
         img = ScalarImage(np.zeros((4, 4)), resolution=10.0)

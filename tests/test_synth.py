@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -44,6 +45,39 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             SceneSpec(kind="bridge", ms_res=9.0)
         assert SceneSpec(kind="bridge").factor == 4
+
+    @pytest.mark.parametrize("field", ["noise", "road_width_m", "circle_radius_m",
+                                       "pan_res", "ms_res", "main_angle"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, field, value):
+        with pytest.raises(SpecError):
+            SceneSpec(kind="roundabout", **{field: value})
+
+    @pytest.mark.parametrize("pan_res", [0.0, -2.5])
+    def test_pan_res_not_positive(self, pan_res):
+        with pytest.raises(SpecError):
+            SceneSpec(kind="bridge", pan_res=pan_res)
+
+    @pytest.mark.parametrize("pan_size", [0, -8])
+    def test_pan_size_not_positive(self, pan_size):
+        with pytest.raises(SpecError):
+            SceneSpec(kind="bridge", pan_size=pan_size)
+
+    def test_negative_margin(self):
+        with pytest.raises(SpecError):
+            SceneSpec(kind="bridge", ms_margin=-8)
+        assert SceneSpec(kind="bridge", ms_margin=0).ms_margin == 0
+
+    def test_negative_seed(self):
+        with pytest.raises(SpecError):
+            SceneSpec(kind="bridge", seed=-1)
+
+    @pytest.mark.parametrize("field, value", [("clutter", 1.5), ("clutter", 2.0), ("seed", 3.0),
+                                              ("pan_size", 128.0), ("ms_margin", 8.0)])
+    def test_non_integer_count(self, field, value):
+        with pytest.raises(SpecError):
+            SceneSpec(kind="bridge", **{field: value})
+        assert getattr(SceneSpec(kind="bridge", **{field: np.int64(value // 1)}), field) == value // 1
 
 
 class TestGenerateScene:
@@ -211,6 +245,49 @@ class TestValueNoise:
         want = np.array([[6.0 * bilinear_at(grid, x / _TEXTURE_CELL, y / _TEXTURE_CELL)
                           for x in range(shape[1])] for y in range(shape[0])])
         assert np.array_equal(got, want)
+
+
+def corpus_digest(tmp_path, specs) -> str:
+    """sha256 over the name and bytes of every file `write_corpus` writes."""
+    write_corpus(tmp_path, specs)
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+class TestRenderDigests:
+    """The bytes of written corpora, pinned: a faster renderer must draw the
+    same random numbers in the same order and do the same arithmetic."""
+
+    CASES = {
+        # every fifth scene of the acceptance corpus: two bridges, two roundabouts
+        "acceptance": (lambda: corpus_specs(20, 20, seed=44, noise=8, clutter=2)[::5],
+                       "32128f6fece78cb6bb196b67c91950ead48400f4b9e67194c43a631285fac67d"),
+        "frame256": (lambda: [SceneSpec(kind=k, seed=s, noise=8, clutter=2, pan_size=256)
+                              for k, s in (("bridge", 11), ("roundabout", 12))],
+                     "885ec1de27a9b85e498775616bc94e29f743846b6db61fc027147844e1acd4d4"),
+        "noise 0, clutter 0": (lambda: [SceneSpec(kind=k, seed=s)
+                                        for k, s in (("bridge", 13), ("roundabout", 14))],
+                               "7de4ff77a371d588b1ec4fee3a341d99a581b9aff7b8f8689127627853eebf93"),
+        "pan_res 5": (lambda: [SceneSpec(kind=k, seed=s, noise=4, clutter=1, pan_res=5.0, pan_size=64)
+                               for k, s in (("bridge", 15), ("roundabout", 16))],
+                      "77740654100f2f4bbd0d5778ccfc2c1ed601a866e85f0f8a596f57045e3a4d8c"),
+        "offsets +-10": (lambda: [SceneSpec(kind=k, seed=s, noise=8, clutter=2, offset=o, main_angle=a)
+                                  for k, s, o, a in (("bridge", 17, (10, -10), 0.3),
+                                                     ("roundabout", 18, (-10, 10), 2.0),
+                                                     ("bridge", 19, (-10, -10), None),
+                                                     ("roundabout", 20, (10, 10), None))],
+                         "b989e9a597999fff04207f54ace67a4d0f7e47e0a4c577ddc34d9b64ab620792"),
+        "margin 3": (lambda: [SceneSpec(kind=k, seed=s, noise=8, clutter=2, pan_size=96, ms_margin=3)
+                              for k, s in (("bridge", 21), ("roundabout", 22))],
+                     "3910efc2c490b2f189e0ab8595a049a13ea5ab930b89101d52eff2435329d70e"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_written_bytes(self, tmp_path, case):
+        make, want = self.CASES[case]
+        assert corpus_digest(tmp_path, make()) == want
 
 
 class TestCorpus:
