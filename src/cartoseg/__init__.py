@@ -7,60 +7,3 @@ marker-controlled watershed whose relief carries the detected edges, and
 finally summarizes extracted shapes as attributed relational graphs with
 common-subgraph/supergraph models.
 """
-
-from .raster import (
-    BinaryMask,
-    ClipTooLarge,
-    FormatError,
-    MultiSpectralImage,
-    ScalarImage,
-    clip_center,
-    magnify,
-    read_mask,
-    read_raster,
-    translate,
-    write_raster,
-)
-from .morph import EmptyMask, StructuringElement, dilate, external_boundary, skeletonize
-from .spectral import (
-    EmptyCorpus,
-    ThresholdPair,
-    band_combine,
-    corpus_mode_threshold,
-    hysteresis_segment,
-    keep_central_component,
-)
-from .edges import EdgeChain, EdgeSet, canny, rasterize, refine_edges
-from .matching import MatchResult, match_mask
-from .watershed import (
-    WSHED,
-    EmptyMarker,
-    LabelImage,
-    MarkerOverlap,
-    MarkerSet,
-    extract_object,
-    gradient_magnitude,
-    impose_minima,
-    inject_edges,
-    watershed_flood,
-)
-from .graphs import (
-    Arg,
-    BudgetExceeded,
-    EmptyInput,
-    ObjectModel,
-    Primitive,
-    build_arg,
-    decompose,
-    find_prototypes,
-    generate_model,
-    graph_distance,
-    is_isomorphic,
-    max_common_subgraph,
-    min_common_supergraph,
-    model_distance,
-)
-from .synth import GroundTruth, SceneSpec, SpecError, generate_scene
-from .pipeline import EvalReport, PipelineConfig, evaluate, run_pipeline
-
-__version__ = "0.1.0"

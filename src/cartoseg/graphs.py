@@ -49,8 +49,7 @@ class Primitive:
     """A geometric building block, all lengths in meters.
 
     circle:  center, radius
-    segment: endpoints, with center their midpoint (length and
-             orientation derived)
+    segment: endpoints, with center their midpoint (length derived)
     """
 
     kind: str
@@ -74,17 +73,6 @@ class Primitive:
             return 0.0
         (x1, y1), (x2, y2) = self.endpoints
         return math.hypot(x2 - x1, y2 - y1)
-
-    @property
-    def orientation(self) -> float:
-        """A segment's direction in [0, pi), whichever end comes first; 0 for
-        a circle."""
-        if self.endpoints is None:
-            return 0.0
-        # from the end with the lower (y, x): the angle lies in [0, pi]
-        (x1, y1), (x2, y2) = sorted(self.endpoints, key=lambda e: (e[1], e[0]))
-        theta = math.atan2(y2 - y1, x2 - x1)
-        return theta if theta < math.pi else 0.0
 
 
 def make_segment(p1: tuple[float, float], p2: tuple[float, float]) -> Primitive:
@@ -279,15 +267,18 @@ def arg_from_json(text: str) -> Arg:
         raise FormatError(f"not a graph: {type(exc).__name__}: {exc}") from exc
 
 
-def _boundary_samples(p: Primitive, n: int = 64) -> np.ndarray:
+_CIRCLE_SAMPLES = 64  # a segment gets half as many
+
+
+def _boundary_samples(p: Primitive) -> np.ndarray:
     if p.kind == "circle":
-        t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        t = np.linspace(0.0, 2 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
         return np.stack(
             [p.center[0] + p.radius * np.cos(t), p.center[1] + p.radius * np.sin(t)], axis=1
         )
     a = np.array(p.endpoints[0])
     b = np.array(p.endpoints[1])
-    t = np.linspace(0.0, 1.0, max(2, n // 2))[:, None]
+    t = np.linspace(0.0, 1.0, _CIRCLE_SAMPLES // 2)[:, None]
     return a[None, :] * (1 - t) + b[None, :] * t
 
 
@@ -327,6 +318,10 @@ def _interiors_overlap(a: Primitive, b: Primitive, sa: np.ndarray, sb: np.ndarra
 def _direction_bin(ca: tuple[float, float], cb: tuple[float, float]) -> str:
     ang = math.atan2(cb[1] - ca[1], cb[0] - ca[0]) % math.pi
     return DIRECTION_BINS[int(round(ang / (math.pi / 4))) % 4]
+
+
+# the pipeline's contact tolerance, in meters; the generator's truth graphs use it too
+DEFAULT_ADJACENCY_TOL = 8.0
 
 
 def build_arg(prims: list[Primitive], adjacency_tol: float) -> Arg:

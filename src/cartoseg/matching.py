@@ -64,6 +64,10 @@ def match_mask(
     hw = int(half_window)
     if hw < 0:
         raise ValueError("half_window must be non-negative")
+    # an offset of a frame or more scores 0, while an offset that lays a mask
+    # pixel on an edge pixel lies within this bound and scores at least 1, so
+    # cutting the window here keeps every candidate
+    hw = min(hw, max(pan.height, pan.width) - 1)
     edge_bits = rasterize(EdgeSet(edges.chains, pan.width, pan.height)).bits
     pan_data = pan.data.astype(np.float64)
     if not edge_bits.any():

@@ -28,6 +28,7 @@ from .morph import StructuringElement, dilate, external_boundary, skeletonize
 from .raster import (
     DOC_ERRORS,
     BinaryMask,
+    ClipTooLarge,
     FormatError,
     ScalarImage,
     clip_center,
@@ -38,6 +39,8 @@ from .raster import (
     write_raster,
 )
 from .spectral import (
+    CENTRAL_WINDOW,
+    DEFAULT_WEIGHTS,
     ThresholdPair,
     band_combine,
     corpus_mode_threshold,
@@ -88,9 +91,9 @@ class PipelineConfig:
     corpus: str = "corpus"
     out: str = "out"
     delta: float = 10.0
-    band_w1: float = 0.3
-    band_w2: float = 0.3
-    band_w3: float = -1.0
+    band_w1: float = DEFAULT_WEIGHTS[0]
+    band_w2: float = DEFAULT_WEIGHTS[1]
+    band_w3: float = DEFAULT_WEIGHTS[2]
     canny_sigma: float = 1.2
     canny_high_percentile: float = 95.0
     canny_low_fraction: float = 0.4
@@ -101,7 +104,7 @@ class PipelineConfig:
     match_se_radius: int = 1
     boundary_se_radius: int = 2
     decompose_mode: str = "skeleton"
-    adjacency_tol: float = 8.0
+    adjacency_tol: float = graphs.DEFAULT_ADJACENCY_TOL
     min_support: int = 1
     iou_correct: float = 0.8
     iou_acceptable: float = 0.5
@@ -111,8 +114,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and math.isnan(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must not be NaN")
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for key, (low, high, low_ok) in _RANGES.items():
             v = getattr(self, key)
             if not (low <= v <= high and (low_ok or v > low)):
@@ -238,8 +241,9 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
     corpus-level threshold over every readable multispectral clip.
 
     ``loaded`` maps a scene id to (pan, ms, truth_mask, offset), or to the
-    message of the error that stopped its loading.  FormatError unless each
-    manifest scene has a string ``id`` and ``kind``, and no two share an id.
+    message of the error that stopped its loading, as for a clip smaller than
+    the central window.  FormatError unless each manifest scene has a string
+    ``id`` and ``kind``, and no two share an id; EmptyCorpus if none loads.
     """
     corpus = Path(cfg.corpus)
     try:
@@ -260,7 +264,10 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[dict], dict, ThresholdPair]:
             ms = read_raster(corpus / files["ms"])
             truth_mask = read_mask(corpus / files["truth_mask"])
             _, offset, _ = load_truth(corpus / files["truth"])
-            clips.append(clip_ms(pan, ms))
+            clip = clip_ms(pan, ms)
+            if min(clip.width, clip.height) < CENTRAL_WINDOW:
+                raise ClipTooLarge(f"clip {clip.width}x{clip.height} is smaller than the central window")
+            clips.append(clip)
             loaded[entry["id"]] = (pan, ms, truth_mask, offset)
         except Exception as exc:  # noqa: BLE001 - per-scene isolation
             loaded[entry["id"]] = f"load failed: {exc}"

@@ -16,6 +16,9 @@ from .morph import label_components
 from .raster import BinaryMask, MultiSpectralImage, ScalarImage, clip_center
 
 DEFAULT_WEIGHTS = (0.3, 0.3, -1.0)
+# side in pixels of the central window: its values set the corpus threshold,
+# and the candidate component is the one that best overlaps it
+CENTRAL_WINDOW = 5
 
 
 class EmptyCorpus(Exception):
@@ -48,20 +51,19 @@ def band_combine(
 def corpus_mode_threshold(
     corpus: list[MultiSpectralImage],
     delta: float = 10.0,
-    window: int = 5,
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
 ) -> ThresholdPair:
     """Estimate a threshold pair from the corpus of multispectral images.
 
-    Pools every image's central ``window`` x ``window`` values of the
-    combined band, rounds them to integer bins and takes the mode as the
+    Pools the central ``CENTRAL_WINDOW`` x ``CENTRAL_WINDOW`` values of every
+    image's combined band, rounds them to integer bins and takes the mode as the
     strong threshold; ties resolve to the lower bin.  The weak threshold sits ``delta`` gray levels below.
     """
     if not corpus:
         raise EmptyCorpus("no images to estimate a threshold from")
     pooled = []
     for ms in corpus:
-        win = clip_center(band_combine(ms, weights), window, window)
+        win = clip_center(band_combine(ms, weights), CENTRAL_WINDOW, CENTRAL_WINDOW)
         pooled.append(win.data.astype(np.float64).ravel())
     values = np.concatenate(pooled)
     bins = np.floor(values + 0.5)  # round half up, deterministic
@@ -89,7 +91,7 @@ def hysteresis_segment(combined: ScalarImage, t: ThresholdPair) -> BinaryMask:
     return BinaryMask(_grow8(seeds, allowed))
 
 
-def keep_central_component(mask: BinaryMask, window: int = 5) -> BinaryMask:
+def keep_central_component(mask: BinaryMask) -> BinaryMask:
     """Keep the connected component that best overlaps the central window.
 
     The candidate object is centered by construction, so components that
@@ -101,9 +103,9 @@ def keep_central_component(mask: BinaryMask, window: int = 5) -> BinaryMask:
         return mask
     labels, count = label_components(mask.bits, connectivity=8)
     h, w = mask.bits.shape
-    y0 = (h - window + 1) // 2
-    x0 = (w - window + 1) // 2
-    center = labels[y0 : y0 + window, x0 : x0 + window]
+    y0 = (h - CENTRAL_WINDOW + 1) // 2
+    x0 = (w - CENTRAL_WINDOW + 1) // 2
+    center = labels[y0 : y0 + CENTRAL_WINDOW, x0 : x0 + CENTRAL_WINDOW]
     overlap = np.bincount(center.ravel(), minlength=count + 1)[1:]
     size = np.bincount(labels.ravel(), minlength=count + 1)[1:]
     # key (overlap, size) as one integer, since size < labels.size + 1;

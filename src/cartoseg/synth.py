@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Arg, Primitive, arg_from_json, arg_to_doc, build_arg, make_segment
+from .graphs import (DEFAULT_ADJACENCY_TOL, Arg, Primitive, arg_from_json, arg_to_doc, build_arg,
+                     make_segment)
 from .raster import BinaryMask, MultiSpectralImage, ScalarImage, _bilinear, write_raster
 
 KINDS = ("bridge", "roundabout")
@@ -260,7 +261,7 @@ def generate_scene(spec: SceneSpec):
     truth = GroundTruth(
         mask=BinaryMask(truth_bits),
         offset=spec.offset,
-        arg=build_arg(prims, adjacency_tol=8.0),
+        arg=build_arg(prims, adjacency_tol=DEFAULT_ADJACENCY_TOL),
         primitives=prims,
     )
     return pan_img, ms_img, truth

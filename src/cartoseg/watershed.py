@@ -137,14 +137,6 @@ class LabelImage:
         if self.labels.ndim != 2:
             raise ValueError("labels must be 2-D")
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
     def to_display(self) -> ScalarImage:
         """Debug rendering: labels spread over gray levels, WSHED bright."""
         k = max(1, int(self.labels.max()))

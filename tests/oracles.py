@@ -200,7 +200,7 @@ def bfs_hysteresis(data: np.ndarray, t_high: float, t_low: float) -> np.ndarray:
     return bfs_grow8(data >= t_high, data >= t_low)
 
 
-def loop_keep_central(bits: np.ndarray, window: int = 5) -> np.ndarray:
+def loop_keep_central(bits: np.ndarray, window: int) -> np.ndarray:
     """`spectral.keep_central_component` with two full-frame scans per label."""
     if not bits.any():
         return bits.copy()

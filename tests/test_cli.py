@@ -4,6 +4,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import cartoseg
 from cartoseg import graphs
 from cartoseg.cli import _build_parser, main
 from cartoseg.raster import BinaryMask, read_mask, translate, write_raster
-from cartoseg.synth import SceneSpec, generate_scene
+from cartoseg.synth import SceneSpec, corpus_specs, generate_scene, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,15 @@ class TestExitCodes:
                    f"--{key}", raw])
         assert rc == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, raw", [("band_w1", "inf"), ("canny_sigma", "inf"),
+                                          ("delta", "-inf"), ("adjacency_tol", "nan")])
+    def test_non_finite_config_value_is_one(self, tmp_path, corpus_dir, key, raw, capsys):
+        rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                   f"--{key}={raw}"])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+        assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, text",
@@ -388,6 +398,42 @@ class TestPipelineCommand:
         failed = {s["id"] for s in manifest["scenes"][:2]}
         assert {sid for sid, s in scenes.items() if s.get("failed_stage") == "load"} == failed
         assert all("error" not in s for sid, s in scenes.items() if sid not in failed)
+
+    @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    def test_tiny_clip_is_that_scenes_load_error(self, tmp_path, command, capsys):
+        """A scene whose multispectral clip is smaller than the central window
+        fails to load; the others run as on the corpus without it."""
+        specs = corpus_specs(2, 2, seed=3)
+        specs[1] = replace(specs[1], pan_size=16)  # a 4x4 clip
+        mixed = tmp_path / "mixed"
+        write_corpus(mixed, specs)
+        rest = tmp_path / "rest"
+        shutil.copytree(mixed, rest)
+        manifest = json.loads((rest / "manifest.json").read_text())
+        del manifest["scenes"][1]
+        (rest / "manifest.json").write_text(json.dumps(manifest))
+        for corpus in (mixed, rest):
+            assert main([command, "--corpus", str(corpus), "--out", str(corpus / "out"),
+                         "--save_intermediates", "false"]) == 0
+        if command == "segment":
+            assert "scene_001: load failed" in capsys.readouterr().err
+            assert sorted(p.name for p in (mixed / "out").iterdir()) == sorted(
+                p.name for p in (rest / "out").iterdir())
+            for p in (rest / "out").iterdir():
+                assert p.read_bytes() == (mixed / "out" / p.name).read_bytes()
+            return
+        got, want = (json.loads((c / "out" / "report.json").read_text()) for c in (mixed, rest))
+        small = got["scenes"].pop(1)
+        assert small["failed_stage"] == "load" and "central window" in small["error"]
+        assert got["scenes"] == want["scenes"]
+        assert (got["threshold"], got["models"]) == (want["threshold"], want["models"])
+
+    @pytest.mark.parametrize("command", ["pipeline", "segment"])
+    def test_only_tiny_clips_is_two(self, tmp_path, command):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [replace(s, pan_size=16) for s in corpus_specs(1, 1, seed=3)])
+        assert main([command, "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_config_file(self, corpus_dir, tmp_path):
         cfg = tmp_path / "pipeline.cfg"

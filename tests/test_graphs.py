@@ -100,22 +100,6 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             make_segment((1, 1), (1, 1))
 
-    @pytest.mark.parametrize("p1, p2, want", [
-        ((0.0, 0.0), (2.0, 0.0), 0.0),
-        ((0.0, 0.0), (1.0, 1.0), math.pi / 4),
-        ((0.0, 0.0), (0.0, 3.0), math.pi / 2),
-        ((0.0, 0.0), (-1.0, 1.0), 3 * math.pi / 4),
-        ((0.0, 0.0), (1.0, -1e-300), 0.0),  # atan2 of the reverse rounds to pi
-        ((5.0, 1.0), (2.0, 1.0 + math.tan(0.3) * 3.0), math.pi - 0.3),
-    ], ids=["E", "NE", "N", "SE", "atan2-rounds-to-pi", "wraps-past-pi"])
-    def test_orientation_from_endpoints(self, p1, p2, want):
-        """The direction in [0, pi), the same whichever end comes first."""
-        for seg in (make_segment(p1, p2), make_segment(p2, p1)):
-            assert 0.0 <= seg.orientation < math.pi
-            assert seg.orientation == pytest.approx(want, abs=1e-12)
-        assert make_segment(p1, p2).orientation == make_segment(p2, p1).orientation
-        assert Primitive("circle", p1, radius=1.0).orientation == 0.0
-
 
 def render_disk(shape, cy, cx, r):
     yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
@@ -154,8 +138,9 @@ class TestDecomposeSkeleton:
         prims = decompose(BinaryMask(bits), "skeleton")
         segs = [p for p in prims if p.kind == "segment"]
         assert len(segs) == 4
-        horiz = [s for s in segs if min(s.orientation, math.pi - s.orientation) < 0.3]
-        vert = [s for s in segs if abs(s.orientation - math.pi / 2) < 0.3]
+        angles = [math.atan2(q[1] - p[1], q[0] - p[0]) % math.pi for p, q in (s.endpoints for s in segs)]
+        horiz = [a for a in angles if min(a, math.pi - a) < 0.3]
+        vert = [a for a in angles if abs(a - math.pi / 2) < 0.3]
         assert len(horiz) == 2 and len(vert) == 2
 
     def test_ring_with_arms_yields_circle_and_segments(self):

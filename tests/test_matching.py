@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,6 +93,28 @@ class TestDisplacedScene:
         pan = ScalarImage(np.zeros((15, 15)))
         scores = naive_match_scores(rasterize(es).bits, dilate(mask, SQ1).bits, 2)
         assert len(scores) == 25  # (2*hw+1)^2 candidates
+
+
+class TestWindowBeyondFrame:
+    def test_one_result_in_bounded_memory(self):
+        """Offsets of a frame or more score 0, so every window that reaches
+        past the frame gives one result, in memory that does not grow with it."""
+        h, w = 9, 21
+        mask = mask_at((h, w), [(4, 1), (5, 1)])
+        es = EdgeSet([chain([(19, 2), (19, 6)]), chain([(3, 8), (6, 8)])], w, h)
+        pan = ScalarImage(np.random.default_rng(3).normal(50.0, 5.0, (h, w)))
+        want = match_mask(mask, es, pan, half_window=w - 1, se=SQ1)
+        assert want.offset[0] >= 17 and (want.score, want.tie_count) == (4, 6)
+        for hw in (w, 2 * w, 300):
+            assert match_mask(mask, es, pan, half_window=hw, se=SQ1) == want
+        tracemalloc.start()
+        try:
+            got = match_mask(mask, es, pan, half_window=1000, se=SQ1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1_000_000
 
 
 class TestTieBreaks:

@@ -99,8 +99,9 @@ class TestConfig:
         floats = [f.name for f in fields(PipelineConfig) if f.type == "float"]
         assert "delta" in floats and "adjacency_tol" in floats
         for name in floats:
-            with pytest.raises(ValueError, match=name):
-                PipelineConfig().with_overrides({name: "nan"})
+            for raw in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match=name):
+                    PipelineConfig().with_overrides({name: raw})
 
     def test_unknown_key_rejected(self, tmp_path):
         """Also each key the pipeline no longer has."""

@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from cartoseg.raster import BinaryMask, MultiSpectralImage, ScalarImage
 from cartoseg.spectral import (
+    CENTRAL_WINDOW,
     EmptyCorpus,
     ThresholdPair,
     band_combine,
@@ -177,7 +178,7 @@ class TestKeepCentralComponent:
         assert keep_central_component(m).is_empty()
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(bool, _frames, fill=st.nothing()), st.integers(1, 7))
-    def test_equals_per_label_loop(self, bits, window):
-        got = keep_central_component(BinaryMask(bits), window).bits
-        assert np.array_equal(got, loop_keep_central(bits, window))
+    @given(arrays(bool, _frames, fill=st.nothing()))
+    def test_equals_per_label_loop(self, bits):
+        got = keep_central_component(BinaryMask(bits)).bits
+        assert np.array_equal(got, loop_keep_central(bits, CENTRAL_WINDOW))

@@ -26,6 +26,12 @@ from cartoseg.synth import (
 from oracles import bilinear_at
 
 
+def _direction(seg) -> float:
+    """A segment's direction in [0, pi), from its endpoints."""
+    (x1, y1), (x2, y2) = seg.endpoints
+    return math.atan2(y2 - y1, x2 - x1) % math.pi
+
+
 class TestSpecValidation:
     def test_kind(self):
         with pytest.raises(SpecError):
@@ -139,10 +145,10 @@ class TestGenerateScene:
         assert len(circles) == 1
         assert circles[0].radius == pytest.approx(spec.circle_radius_m, abs=2.5)
         assert len(segs) == 4
-        want = {truth.primitives[1].orientation % math.pi, truth.primitives[2].orientation % math.pi}
+        want = {_direction(truth.primitives[1]), _direction(truth.primitives[2])}
         for s in segs:
             diff = min(
-                min(abs(s.orientation - w), math.pi - abs(s.orientation - w)) for w in want
+                min(abs(_direction(s) - w), math.pi - abs(_direction(s) - w)) for w in want
             )
             assert diff < math.radians(5.0)
 
@@ -155,7 +161,7 @@ class TestGenerateScene:
         assert len(segs) >= 3
         for s in segs:
             diff = min(
-                min(abs(s.orientation - w), math.pi - abs(s.orientation - w)) for w in want
+                min(abs(_direction(s) - w), math.pi - abs(_direction(s) - w)) for w in want
             )
             assert diff < math.radians(5.0)
 
