@@ -13,8 +13,13 @@ than the metric's ``bound`` (a fraction of the parent's median); and
 come from the change checkout's ``BENCHMARK.json``; ``--log`` keeps every
 run's result line.
 
+Either side is a directory, or a revision of the git repository the command
+runs in, which is exported with ``git archive`` into a temporary directory
+that is removed at the end: the same code can read slower from a working
+checkout than from a fresh export, so compare two exports.
+
 Example (ten pairs of the models workload, twenty seconds a run):
-    python scripts/pairs.py ../parent . --workloads models_loo --pairs 10
+    python scripts/pairs.py HEAD~1 HEAD --workloads models_loo --pairs 10
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +44,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     if proc.returncode or not lines:
         raise SystemExit(f"{checkout}: {workload} exited with code {proc.returncode}")
     return lines[-1]
+
+
+def checkout(side: str, stack: ExitStack) -> Path:
+    """`side` as a directory, or, when it is none and names a git revision,
+    a fresh export of that revision that lives as long as `stack`."""
+    path = Path(side)
+    if path.is_dir():
+        return path
+    revision = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{side}^{{commit}}"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if revision.returncode:
+        return path
+    root = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="pairs-")))
+    # leaving the block closes the pipe before waiting, so a failed tar cannot stall git
+    with subprocess.Popen(["git", "archive", revision.stdout.strip()], stdout=subprocess.PIPE) as archive:
+        untar = subprocess.run(["tar", "-x", "-C", str(root)], stdin=archive.stdout)
+    if archive.returncode or untar.returncode:
+        raise SystemExit(f"{side}: git archive failed")
+    return root
 
 
 def summarize(workload: str, pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[str]:
@@ -64,8 +90,8 @@ def summarize(workload: str, pairs: list[tuple[str, str]], end_to_end: list[dict
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("parent", type=Path, help="checkout of the parent commit")
-    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("parent", help="checkout or git revision of the parent commit")
+    p.add_argument("change", help="checkout or git revision of the change")
     p.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=44)
@@ -74,22 +100,24 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    for workload in workloads:
-        pairs = []
-        for i in range(args.pairs):
-            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            lines = {side: run_once(getattr(args, side), workload, args.seed, args.seconds)
-                     for side in sides}
-            pairs.append((lines["parent"], lines["change"]))
-            if args.log:
-                with args.log.open("a") as f:
-                    for side in sides:
-                        f.write(json.dumps({"workload": workload, "pair": i, "side": side,
-                                            "result": json.loads(lines[side])}) + "\n")
-            print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-        print("\n".join(summarize(workload, pairs, bench["end_to_end"])), flush=True)
+    with ExitStack() as stack:
+        roots = {side: checkout(getattr(args, side), stack) for side in ("parent", "change")}
+        bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+        workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+        for workload in workloads:
+            pairs = []
+            for i in range(args.pairs):
+                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                lines = {side: run_once(roots[side], workload, args.seed, args.seconds)
+                         for side in sides}
+                pairs.append((lines["parent"], lines["change"]))
+                if args.log:
+                    with args.log.open("a") as f:
+                        for side in sides:
+                            f.write(json.dumps({"workload": workload, "pair": i, "side": side,
+                                                "result": json.loads(lines[side])}) + "\n")
+                print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+            print("\n".join(summarize(workload, pairs, bench["end_to_end"])), flush=True)
     return 0
 
 

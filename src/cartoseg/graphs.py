@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -559,27 +560,39 @@ def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
 
 @dataclass(eq=False)
 class ObjectModel:
-    """Structural bounds plus the prototypes they were folded from."""
+    """Prototypes, and the structural bounds folded from them on first read."""
 
-    max_csg: Arg
-    min_csg: Arg
     prototypes: list[Arg]
+    node_budget: int = DEFAULT_NODE_BUDGET
+
+    @cached_property
+    def bounds(self) -> tuple[Arg, Arg]:
+        """(max_csg, min_csg), folded over the prototypes left to right on the
+        first read; the prototypes must not change after it.  The result can
+        depend on their order, so it is fixed: canonically by descending
+        frequency."""
+        if not self.prototypes:
+            raise EmptyInput("a model needs at least one prototype")
+        lo = hi = self.prototypes[0]
+        for p in self.prototypes[1:]:
+            lo = max_common_subgraph(lo, p, self.node_budget)
+            hi = min_common_supergraph(hi, p, self.node_budget)
+        return lo, hi
+
+    @property
+    def max_csg(self) -> Arg:
+        return self.bounds[0]
+
+    @property
+    def min_csg(self) -> Arg:
+        return self.bounds[1]
 
 
 def generate_model(prototypes: list[Arg], node_budget: int = DEFAULT_NODE_BUDGET) -> ObjectModel:
-    """Fold the common subgraph and common supergraph over the prototypes.
-
-    The fold is left to right in the given order (canonically descending
-    prototype frequency); the result can depend on that order, which is
-    why the order is fixed.
-    """
+    """The model of the prototypes; its bounds are folded when first read."""
     if not prototypes:
         raise EmptyInput("a model needs at least one prototype")
-    lo = hi = prototypes[0]
-    for p in prototypes[1:]:
-        lo = max_common_subgraph(lo, p, node_budget)
-        hi = min_common_supergraph(hi, p, node_budget)
-    return ObjectModel(max_csg=lo, min_csg=hi, prototypes=list(prototypes))
+    return ObjectModel(list(prototypes), node_budget)
 
 
 def graph_distance(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
@@ -620,10 +633,9 @@ def model_from_json(text: str) -> ObjectModel:
     text that does not describe one."""
     try:
         doc = json.loads(text)
-        return ObjectModel(
-            max_csg=arg_from_json(doc["max_csg"]),
-            min_csg=arg_from_json(doc["min_csg"]),
-            prototypes=[arg_from_json(p) for p in doc["prototypes"]],
-        )
+        bounds = arg_from_json(doc["max_csg"]), arg_from_json(doc["min_csg"])
+        model = ObjectModel([arg_from_json(p) for p in doc["prototypes"]])
+        model.bounds = bounds  # read from the document, not folded
+        return model
     except DOC_ERRORS as exc:
         raise FormatError(f"not a model: {type(exc).__name__}: {exc}") from exc

@@ -338,8 +338,8 @@ def shape_graph(mask: BinaryMask, resolution: float, cfg: PipelineConfig) -> gra
 
 
 def fit_model(args: list[graphs.Arg], cfg: PipelineConfig) -> graphs.ObjectModel:
-    """Structural model folded over the prototypes of the given graphs;
-    raises EmptyInput when no prototype reaches ``min_support``."""
+    """Structural model of the prototypes of the given graphs (bounds folded
+    on first read); raises EmptyInput when no prototype reaches ``min_support``."""
     protos = graphs.find_prototypes(args, cfg.min_support)
     if not protos:
         raise graphs.EmptyInput("no prototype reached min_support")
@@ -456,14 +456,15 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
                 for sid, obj, resolution in extracted_by_kind[kind]
             }
             model = fit_model(list(args.values()), cfg)
+            lo, hi = model.bounds  # folded here, so a fold over budget is the kind's error
             distances = {sid: round(model_score(g, model, cfg), 6) for sid, g in args.items()}
         except (graphs.BudgetExceeded, graphs.EmptyInput) as exc:
             models[kind] = {"error": str(exc)}
             continue
         models[kind] = {
             "prototypes": len(model.prototypes),
-            "max_csg_size": model.max_csg.size,
-            "min_csg_size": model.min_csg.size,
+            "max_csg_size": lo.size,
+            "min_csg_size": hi.size,
             "distances": distances,
         }
         (out_dir / f"model_{kind}.json").write_text(graphs.model_to_json(model))

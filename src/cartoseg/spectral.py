@@ -103,8 +103,9 @@ def keep_central_component(mask: BinaryMask) -> BinaryMask:
         return mask
     labels, count = label_components(mask.bits, connectivity=8)
     h, w = mask.bits.shape
-    y0 = (h - CENTRAL_WINDOW + 1) // 2
-    x0 = (w - CENTRAL_WINDOW + 1) // 2
+    # a frame smaller than the window is all window
+    y0 = max(0, (h - CENTRAL_WINDOW + 1) // 2)
+    x0 = max(0, (w - CENTRAL_WINDOW + 1) // 2)
     center = labels[y0 : y0 + CENTRAL_WINDOW, x0 : x0 + CENTRAL_WINDOW]
     overlap = np.bincount(center.ravel(), minlength=count + 1)[1:]
     size = np.bincount(labels.ravel(), minlength=count + 1)[1:]

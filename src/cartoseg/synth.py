@@ -102,6 +102,8 @@ class SceneSpec:
             raise SpecError("ms resolution must be an integer multiple of pan resolution")
         if self.pan_size % int(round(factor)) != 0:
             raise SpecError("pan size must be divisible by the resolution factor")
+        if max(abs(self.offset[0]), abs(self.offset[1])) > self.ms_margin * self.factor:
+            raise SpecError("offsets must fit in the multispectral margin")
 
     @property
     def factor(self) -> int:
@@ -224,6 +226,8 @@ def generate_scene(spec: SceneSpec):
         attempts += 1
         cw = int(rng.integers(8, 21))
         ch = int(rng.integers(8, 21))
+        if max(cw, ch) >= spec.pan_size:  # no position fits it
+            continue
         x0 = int(rng.integers(margin, big - margin - cw))
         y0 = int(rng.integers(margin, big - margin - ch))
         window = obj[

@@ -206,8 +206,8 @@ def loop_keep_central(bits: np.ndarray, window: int) -> np.ndarray:
         return bits.copy()
     labels, count = bfs_label_components(bits, 8)
     h, w = bits.shape
-    y0 = (h - window + 1) // 2
-    x0 = (w - window + 1) // 2
+    y0 = max(0, (h - window + 1) // 2)
+    x0 = max(0, (w - window + 1) // 2)
     center = labels[y0 : y0 + window, x0 : x0 + window]
     best, best_key = 0, (-1, -1)
     for lab in range(1, count + 1):
@@ -1071,3 +1071,15 @@ def glue_supergraph(g1, g2, mapping):
             edges[key] = at
     edge_list = [(a, b, at[0], at[1]) for (a, b), at in sorted(edges.items())]
     return Arg(verts, edge_list)
+
+
+def eager_fold_bounds(prototypes):
+    """(max_csg, min_csg) folded left to right at once, from the list search
+    and the probing subgraph and gluing assembly."""
+    lo = hi = prototypes[0]
+    for p in prototypes[1:]:
+        mapping, _ = list_mcs_mapping(lo, p, 10**9)
+        lo = probe_induced_subgraph(lo, [a for a, _ in mapping])
+        mapping, _ = list_mcs_mapping(hi, p, 10**9)
+        hi = glue_supergraph(hi, p, mapping)
+    return lo, hi

@@ -61,6 +61,7 @@ class TestExitCodes:
         rc = main(["model", "--masks", str(truth_masks(tmp_path, corpus_dir)),
                    "--out", str(tmp_path / "m.json"), "--node_budget", "2"])
         assert rc == 3
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("resolution", ["0", "-2.5", "nan", "inf"])
     @pytest.mark.parametrize("command", ["model", "score"])

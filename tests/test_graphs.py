@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cartoseg import edges
+from cartoseg import edges, graphs
 from cartoseg.graphs import (
     CONNECTION_KINDS,
     DIRECTION_BINS,
@@ -44,6 +44,7 @@ from oracles import (
     brute_isomorphic,
     brute_mcs_size,
     can_embed,
+    eager_fold_bounds,
     glue_supergraph,
     list_mcs_mapping,
     loop_decompose,
@@ -536,6 +537,62 @@ class TestGenerateModel:
         for proto in model.prototypes:
             assert can_embed(model.max_csg, proto)
             assert can_embed(proto, model.min_csg)
+
+
+class TestLazyBounds:
+    """A model folds its bounds on their first read, never in `generate_model`."""
+
+    @staticmethod
+    def refuse_folds(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bounds were folded")
+
+        monkeypatch.setattr(graphs, "max_common_subgraph", refuse)
+        monkeypatch.setattr(graphs, "min_common_supergraph", refuse)
+
+    def test_generate_model_folds_nothing(self, monkeypatch):
+        self.refuse_folds(monkeypatch)
+        base, ramp = bridge_variants()
+        model = generate_model([base, base, ramp])
+        assert model_distance(ramp, model) == 0.0
+        with pytest.raises(AssertionError, match="folded"):
+            model.max_csg
+
+    def test_model_from_json_folds_nothing(self, monkeypatch):
+        base, ramp = bridge_variants()
+        text = model_to_json(generate_model([base, ramp]))
+        self.refuse_folds(monkeypatch)
+        assert model_to_json(model_from_json(text)) == text
+
+    def test_budget_trips_on_first_read(self):
+        g = path(["a"] * 5)
+        model = generate_model([g, g], node_budget=3)
+        assert model.prototypes == [g, g]
+        with pytest.raises(BudgetExceeded):
+            model.max_csg
+        with pytest.raises(BudgetExceeded):  # a failed fold is not kept
+            model.bounds
+
+    def test_empty_prototypes(self):
+        with pytest.raises(EmptyInput):
+            ObjectModel([]).bounds
+
+    def test_folded_once(self, monkeypatch):
+        calls = []
+        fold = graphs.max_common_subgraph
+        monkeypatch.setattr(graphs, "max_common_subgraph",
+                            lambda *a: calls.append(1) or fold(*a))
+        model = generate_model([path(["a", "b"]), path(["a", "c"])])
+        assert model.max_csg is model.bounds[0] and model.min_csg is model.bounds[1]
+        assert len(calls) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_args(5), min_size=1, max_size=4))
+    def test_bounds_equal_eager_fold(self, prototypes):
+        lo, hi = eager_fold_bounds(prototypes)
+        model = generate_model(prototypes)
+        assert arg_to_json(model.max_csg) == arg_to_json(lo)
+        assert arg_to_json(model.min_csg) == arg_to_json(hi)
 
 
 class TestModelDistance:

@@ -155,6 +155,20 @@ class TestRunPipeline:
         kind = failed[0]["kind"]
         assert report.aggregate["extract"][kind]["incorrect"] >= 1
 
+    def test_fold_over_budget_is_the_kinds_error(self, tmp_path):
+        """At 500 nodes the roundabout fold trips and its prototype distances
+        do not (they need 409): the kind records the error, the report the
+        bridge model as before, and no roundabout model file is written."""
+        write_corpus(tmp_path / "c", corpus_specs(3, 3, seed=5, noise=4.0, clutter=1))
+        cfg = PipelineConfig(corpus=str(tmp_path / "c"), out=str(tmp_path / "out"), node_budget=500)
+        report = run_pipeline(cfg)
+        assert json.dumps(report.models, sort_keys=True) == (
+            '{"bridge": {"distances": {"scene_000": 0.0, "scene_001": 0.0, "scene_002": 0.0}, '
+            '"max_csg_size": 2, "min_csg_size": 10, "prototypes": 3}, '
+            '"roundabout": {"error": "graph search exceeded 500 nodes"}}'
+        )
+        assert sorted(p.name for p in (tmp_path / "out").glob("model_*.json")) == ["model_bridge.json"]
+
     def test_byte_identical_reruns(self, small_corpus, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -3,6 +3,7 @@ the reports it wrote hold, and the pair runner's summary of canned results."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 from cartoseg.graphs import graph_distance, is_isomorphic
@@ -115,3 +116,34 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch, capsys):
     logged = [json.loads(line) for line in (tmp_path / "log").read_text().splitlines()]
     assert [(r["pair"], r["side"]) for r in logged[:4]] == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+
+
+def test_pairs_export_a_git_revision(tmp_path, monkeypatch):
+    """A side that is no directory but a revision runs in a fresh export of
+    that revision, which is gone once the runs end; a directory runs as is."""
+    pairs = load_script("pairs")
+    repo, change = tmp_path / "repo", tmp_path / "change"
+    change.mkdir()
+    bench = json.dumps({"workloads": [{"name": "w"}], "end_to_end": END_TO_END})
+    (change / "BENCHMARK.json").write_text(bench)
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    for version in ("old", "new"):
+        (repo / "version.txt").write_text(version)
+        subprocess.run(git + ["add", "version.txt"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", version], check=True)
+    canned = dict(zip(("old", "change"), CANNED[0]))
+    seen = {}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "change" if checkout == change else (checkout / "version.txt").read_text()
+        seen[checkout] = side
+        return result_line(*canned[side])
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.chdir(repo)
+    assert pairs.main(["HEAD~1", str(change), "--pairs", "2"]) == 0
+    (export,) = [c for c, side in seen.items() if side == "old"]
+    assert export not in (repo, change) and not export.exists()
+    assert sorted(seen.values()) == ["change", "old"]

@@ -173,6 +173,16 @@ class TestKeepCentralComponent:
         out = keep_central_component(BinaryMask(bits))
         assert out.bits[0, 0] and not out.bits[10, 10]
 
+    def test_frame_smaller_than_window(self):
+        """On a 3x3 frame the window is the whole frame: the larger component
+        wins, not the one a window starting off the frame would see."""
+        bits = np.zeros((3, 3), dtype=bool)
+        bits[0, 0:2] = True
+        bits[2, 2] = True
+        out = keep_central_component(BinaryMask(bits)).bits
+        assert np.array_equal(out, bits & (np.arange(3) == 0)[:, None])
+        assert np.array_equal(loop_keep_central(bits, CENTRAL_WINDOW), out)
+
     def test_empty_passthrough(self):
         m = BinaryMask(np.zeros((5, 5), dtype=bool))
         assert keep_central_component(m).is_empty()

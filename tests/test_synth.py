@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartoseg.graphs import decompose, graph_distance
 from cartoseg.pipeline import PipelineConfig, shape_graph
@@ -40,6 +41,13 @@ class TestSpecValidation:
     def test_offset_bound(self):
         with pytest.raises(SpecError):
             SceneSpec(kind="bridge", offset=(11, 0))
+
+    def test_offset_beyond_margin(self):
+        """The pan frame is cut from the canvas inside the multispectral
+        margin, so an offset past it left the frame short or empty."""
+        with pytest.raises(SpecError, match="margin"):
+            SceneSpec(kind="bridge", pan_size=32, ms_margin=1, offset=(-5, 0))
+        assert SceneSpec(kind="bridge", pan_size=32, ms_margin=1, offset=(-4, 4)).offset == (-4, 4)
 
     def test_geometry(self):
         with pytest.raises(SpecError):
@@ -103,6 +111,27 @@ class TestGenerateScene:
         for c1, c2 in zip(a[1].channels, b[1].channels):
             assert np.array_equal(c1.data, c2.data)
         assert np.array_equal(a[2].mask.bits, b[2].mask.bits)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clutter_on_small_frame(self, seed):
+        """A clutter block as wide as the frame has no position to draw; it
+        is skipped, where numpy used to raise ValueError."""
+        pan, _, _ = generate_scene(SceneSpec(kind="bridge", clutter=1, pan_size=20, seed=seed))
+        assert pan.data.shape == (20, 20)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("bridge", "roundabout")), st.sampled_from(range(4, 33, 4)),
+           st.integers(0, 3), st.integers(0, 2**16), st.integers(0, 8),
+           st.tuples(st.integers(-10, 10), st.integers(-10, 10)))
+    def test_spec_renders_or_is_refused(self, kind, pan_size, clutter, seed, ms_margin, offset):
+        try:
+            spec = SceneSpec(kind=kind, pan_size=pan_size, clutter=clutter, seed=seed,
+                             ms_margin=ms_margin, offset=offset, noise=4.0)
+        except SpecError:
+            return
+        pan, ms, truth = generate_scene(spec)
+        assert pan.data.shape == truth.mask.bits.shape == (pan_size, pan_size)
+        assert ms.width == ms.height == pan_size // spec.factor + 2 * ms_margin
 
     def test_seed_changes_scene(self):
         a = generate_scene(SceneSpec(kind="bridge", seed=1))
