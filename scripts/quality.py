@@ -64,9 +64,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"model[{kind}]: {info['error']}")
                 continue
             dists = list(info["distances"].values())
+            bounds = (f"bounds not folded ({info['bounds_error']})" if "bounds_error" in info
+                      else f"bounds {info['max_csg_size']}/{info['min_csg_size']} vertices")
             print(
-                f"model[{kind}]: {info['prototypes']} prototypes, "
-                f"bounds {info['max_csg_size']}/{info['min_csg_size']} vertices, "
+                f"model[{kind}]: {info['prototypes']} prototypes, {bounds}, "
                 f"mean training distance {sum(dists) / len(dists):.6f}"
             )
         recovery = {}

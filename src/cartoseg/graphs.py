@@ -5,7 +5,14 @@ cycles, line segments from its arcs), the primitives and their contacts
 form an attributed relational graph, and a set of such graphs yields an
 object model: the maximal common subgraph and minimal common supergraph
 of its prototypes.  Scoring uses the normalized maximal-common-subgraph
-distance 1 - |mcs| / max(|g1|, |g2|) against the nearest prototype.
+distance 1 - |mcs| / max(|g1|, |g2|) against the nearest prototype
+(Bunke & Shearer, PRL 19, 1998).  That distance reads only the size of a
+common subgraph, so it comes from a size-only search (`_mcs_size`) that
+prunes ties, starts from a floor it must beat, and stops once nothing
+larger can exist; the bounds take the mapping search (`_mcs_mapping`),
+which breaks ties.  The size search visits a subset of the mapping
+search's nodes, so a distance raises BudgetExceeded only where the mapping
+search would, and may return where it raises.
 The scene generator writes its truth graphs in the same two primitives.
 
 Common-subgraph semantics here are *induced*: a vertex pairing is valid
@@ -369,36 +376,32 @@ def build_arg(prims: list[Primitive], adjacency_tol: float) -> Arg:
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Largest induced common-subgraph mapping as [(v1, v2), ...].
+def _association(g1: Arg, g2: Arg):
+    """The association graph of two graphs, as (pairs, compat, nbr, sides).
 
-    Branch and bound over the association graph; ties by vertex count
-    resolve toward more common edges, then the lexicographically smallest
-    mapping.  Raises BudgetExceeded rather than approximating.
+    `pairs` are the vertex pairs of one kind, numbered in (v1, v2) order,
+    and each bitset below is a Python int with one bit per pair.
+    `compat[i]` holds the pairs that can join pair i in one induced common
+    subgraph, `nbr[i]` the pairs whose g1 vertices are adjacent to pair i's,
+    and `sides` the pairs of each vertex that has any, the side with fewer
+    such vertices first.
 
-    Vertex pairs of one kind are numbered in (v1, v2) order, and candidate
-    sets are Python ints with one bit per pair (bit-parallel max-clique
-    search, San Segundo et al., Computers & OR 38(2), 2011).  Each search
-    call takes the lowest candidate, so the nodes visited, and hence where
-    the budget trips, are those of the plain list search.
-
-    The association graph is built from per-vertex bitsets in
-    O(pairs x edge attributes) int operations, never as a pairs x pairs
-    array: each vertex holds the bitset of its pairs, and for each edge
-    attribute the union of its neighbours' bitsets.  Pair (a, b) is then
-    compatible with the pairs whose vertices are adjacent to neither a nor
-    b, and with those adjacent to both under one attribute.
+    The graph is built from per-vertex bitsets in O(pairs x edge
+    attributes) int operations, never as a pairs x pairs array: each vertex
+    holds the bitset of its pairs, and for each edge attribute the union of
+    its neighbours' bitsets.  Pair (a, b) is then compatible with the pairs
+    whose vertices are adjacent to neither a nor b, and with those adjacent
+    to both under one attribute.
     """
     by_kind: dict[str, list[int]] = {}
     for b, kind in g2.vertices:
         by_kind.setdefault(kind, []).append(b)
     pairs = [(a, b) for a, kind in g1.vertices for b in by_kind.get(kind, ())]
-    n = len(pairs)
     of1, of2 = [0] * g1.size, [0] * g2.size  # the pairs of each vertex
     for i, (a, b) in enumerate(pairs):
         of1[a] |= 1 << i
         of2[b] |= 1 << i
-    full = (1 << n) - 1
+    full = (1 << len(pairs)) - 1
 
     def around(g: Arg, of: list[int]):
         """Per vertex: the pairs on its neighbours, by edge attribute and in
@@ -421,9 +424,43 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
             if attr in by_attr:
                 c |= m & by_attr[attr]
         compat.append(c)
-    nbr = [nbr1[a] for a, _ in pairs]  # pairs whose g1 vertices are adjacent
-    sides = sorted(([m for m in of1 if m], [m for m in of2 if m]), key=len)  # fewer vertices first
+    nbr = [nbr1[a] for a, _ in pairs]
+    sides = sorted(([m for m in of1 if m], [m for m in of2 if m]), key=len)
+    return pairs, compat, nbr, sides
 
+
+def _reaches(cand: int, need: int, sides) -> bool:
+    """Can `cand` still add `need` vertices: does it hold pairs on `need`
+    distinct vertices of each side?  Each side is counted only until it
+    reaches `need`."""
+    if cand.bit_count() < need:
+        return False
+    for side in sides:
+        left = need
+        for m in side:
+            if cand & m:
+                left -= 1
+                if not left:
+                    break
+        else:
+            return False
+    return True
+
+
+def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Largest induced common-subgraph mapping as [(v1, v2), ...].
+
+    Branch and bound over the association graph (`_association`); ties by
+    vertex count resolve toward more common edges, then the
+    lexicographically smallest mapping.  Raises BudgetExceeded rather than
+    approximating.
+
+    Candidate sets are bitsets of pairs (bit-parallel max-clique search,
+    San Segundo et al., Computers & OR 38(2), 2011).  Each search call takes
+    the lowest candidate, so the nodes visited, and hence where the budget
+    trips, are those of the plain list search.
+    """
+    pairs, compat, nbr, sides = _association(g1, g2)
     best = 0
     best_score = (0, -1)
     nodes = 0
@@ -448,27 +485,64 @@ def _mcs_mapping(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET):
                     best, best_score = chosen, score
                 return
             # bound: k + the distinct vertices left on the smaller side, which
-            # is at least k + 1 and at most k + |cand|; each side is counted
-            # only until it reaches `need`
+            # is at least k + 1; a branch that cannot tie the incumbent stops
             need = best_score[0] - k
-            if need > 1:
-                if cand.bit_count() < need:
-                    return
-                for side in sides:
-                    left = need
-                    for m in side:
-                        if cand & m:
-                            left -= 1
-                            if not left:
-                                break
-                    else:
-                        return
+            if need > 1 and not _reaches(cand, need, sides):
+                return
             low = cand & -cand
             cand ^= low
             extend(chosen | low, k + 1, cand & compat[low.bit_length() - 1])
 
-    extend(0, 0, full)
+    try:
+        extend(0, 0, (1 << len(pairs)) - 1)
+    finally:
+        del extend  # the closure refers to itself: leave no cycle for the collector
     return [pair for i, pair in enumerate(pairs) if best >> i & 1]
+
+
+def _mcs_size(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET, floor: int = 0) -> int:
+    """Vertex count of a largest induced common subgraph, or ``floor`` when
+    none is larger.
+
+    The search of `_mcs_mapping` over the same association graph, cut to
+    what a distance reads.  The incumbent starts at ``floor``, a branch that
+    cannot beat it stops (ties are not explored), and the search ends once
+    the incumbent covers the side with fewer paired vertices.  By induction
+    over the search order, it visits a subset of `_mcs_mapping`'s nodes: it
+    raises BudgetExceeded only where `_mcs_mapping` raises, and it may
+    return where that raises.
+    """
+    if floor >= min(g1.size, g2.size):
+        return floor
+    pairs, compat, _, sides = _association(g1, g2)
+    cover = len(sides[0])
+    best = floor
+    nodes = 0
+
+    def extend(k: int, cand: int) -> bool:
+        # True once the incumbent covers the smaller side
+        nonlocal best, nodes
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(f"graph search exceeded {node_budget} nodes")
+            if not cand:
+                best = max(best, k)
+                return best == cover
+            need = best + 1 - k  # vertices still to add to beat the incumbent
+            if need > 1 and not _reaches(cand, need, sides):
+                return False
+            low = cand & -cand
+            cand ^= low
+            if extend(k + 1, cand & compat[low.bit_length() - 1]):
+                return True
+
+    try:
+        if best < cover:
+            extend(0, (1 << len(pairs)) - 1)
+    finally:
+        del extend  # as in `_mcs_mapping`
+    return best
 
 
 def _induced_subgraph(g: Arg, keep: list[int]) -> Arg:
@@ -498,56 +572,73 @@ def min_common_supergraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDG
     return Arg(verts, [(a, b, *at) for (a, b), at in sorted(edges.items())])
 
 
-def is_isomorphic(g1: Arg, g2: Arg) -> bool:
-    """Exact attributed-graph isomorphism (kinds, edges, edge attributes)."""
-    if g1.size != g2.size or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(k for _, k in g1.vertices) != sorted(k for _, k in g2.vertices):
-        return False
-    e1 = g1.edge_attrs()
-    e2 = g2.edge_attrs()
-    if sorted(e1.values()) != sorted(e2.values()):
-        return False
+def _invariant(g: Arg) -> tuple:
+    """Sorted vertex kinds and sorted edge attributes: equal for isomorphic
+    graphs."""
+    return tuple(sorted(k for _, k in g.vertices)), tuple(sorted(e[2:] for e in g.edges))
 
-    def attr(d, a, b):
-        return d.get((a, b) if a < b else (b, a))
 
-    used = [False] * g2.size
-    assign: list[int] = []
+def _rows(g: Arg) -> list[list]:
+    """Per vertex, the attributes of its edge to each vertex (None if none)."""
+    n = g.size
+    rows: list[list] = [[None] * n for _ in range(n)]
+    for e in g.edges:
+        a, b = e[0], e[1]
+        rows[a][b] = rows[b][a] = e[2:]
+    return rows
+
+
+def _matches(g1: Arg, g2: Arg) -> bool:
+    """Is there an isomorphism from g1 to g2?  Their invariants must be
+    equal.  Backtracks over g1's vertices in order, trying g2's in order."""
+    n = g1.size
+    kinds1, kinds2 = [k for _, k in g1.vertices], [k for _, k in g2.vertices]
+    rows1, rows2 = _rows(g1), _rows(g2)
+    used = [False] * n
+    assign = [0] * n
 
     def backtrack(v: int) -> bool:
-        if v == g1.size:
+        if v == n:
             return True
-        for w in range(g2.size):
-            if used[w] or g1.kind(v) != g2.kind(w):
+        kind, row = kinds1[v], rows1[v]
+        for w in range(n):
+            if used[w] or kinds2[w] != kind:
                 continue
-            if any(attr(e1, v, u) != attr(e2, w, assign[u]) for u in range(v)):
-                continue
-            used[w] = True
-            assign.append(w)
-            if backtrack(v + 1):
-                return True
-            assign.pop()
-            used[w] = False
+            image = rows2[w]
+            for u in range(v):
+                if row[u] != image[assign[u]]:
+                    break
+            else:
+                used[w] = True
+                assign[v] = w
+                if backtrack(v + 1):
+                    return True
+                used[w] = False
         return False
 
-    return backtrack(0)
+    try:
+        return backtrack(0)
+    finally:
+        del backtrack  # as in `_mcs_mapping`
+
+
+def is_isomorphic(g1: Arg, g2: Arg) -> bool:
+    """Exact attributed-graph isomorphism (kinds, edges, edge attributes)."""
+    return _invariant(g1) == _invariant(g2) and _matches(g1, g2)
 
 
 def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
     """One representative per exact-isomorphism class with enough support,
     ordered by descending frequency (ties keep first appearance).
 
-    Only graphs with equal invariants (sorted kinds, sorted edge attributes)
-    can be isomorphic, so each graph is tested against its invariant's
-    groups alone."""
+    Only graphs with equal invariants can be isomorphic, so each graph is
+    tested against its invariant's groups alone."""
     groups: list[list] = []  # [representative, count], in order of appearance
     by_invariant: dict[tuple, list[list]] = {}
     for g in args:
-        key = (tuple(sorted(k for _, k in g.vertices)), tuple(sorted(e[2:] for e in g.edges)))
-        same = by_invariant.setdefault(key, [])
+        same = by_invariant.setdefault(_invariant(g), [])
         for group in same:
-            if is_isomorphic(g, group[0]):
+            if _matches(g, group[0]):
                 group[1] += 1
                 break
         else:
@@ -596,11 +687,15 @@ def generate_model(prototypes: list[Arg], node_budget: int = DEFAULT_NODE_BUDGET
 
 
 def graph_distance(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
-    """Normalized mcs distance: 1 - |mcs| / max(|g1|, |g2|), in [0, 1]."""
+    """Normalized mcs distance: 1 - |mcs| / max(|g1|, |g2|), in [0, 1].
+
+    Only the size of a common subgraph is searched for (`_mcs_size`), so
+    this raises BudgetExceeded only where `max_common_subgraph` would, and
+    may return where it raises."""
     denom = max(g1.size, g2.size)
     if denom == 0:
         return 0.0
-    return 1.0 - len(_mcs_mapping(g1, g2, node_budget)) / denom
+    return 1.0 - _mcs_size(g1, g2, node_budget) / denom
 
 
 def model_distance(
@@ -610,11 +705,29 @@ def model_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> float:
     """Distance from a graph to the nearest prototype (or, with
-    ``use_bounds``, to the nearer of the two structural bounds)."""
+    ``use_bounds``, to the nearer of the two structural bounds): the least
+    `graph_distance`, bit for bit.
+
+    The references are searched in order, each with the largest size that
+    would not lower the least distance so far as its floor (`_mcs_size`),
+    and the walk stops at a distance of 0.  So this raises BudgetExceeded
+    only where the mapping search of some reference would, and may return
+    where one raises."""
     refs = [model.max_csg, model.min_csg] if use_bounds else model.prototypes
     if not refs:
         raise EmptyInput("model carries no reference graphs")
-    return min(graph_distance(g, r, node_budget) for r in refs)
+    best = math.inf
+    for r in refs:
+        denom = max(g.size, r.size)
+        if denom == 0:
+            return 0.0
+        floor = 0
+        while floor < denom and 1.0 - (floor + 1) / denom >= best:
+            floor += 1
+        best = min(best, 1.0 - _mcs_size(g, r, node_budget, floor) / denom)
+        if best == 0.0:
+            break
+    return best
 
 
 def model_to_json(model: ObjectModel) -> str:

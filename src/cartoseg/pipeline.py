@@ -456,17 +456,18 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
                 for sid, obj, resolution in extracted_by_kind[kind]
             }
             model = fit_model(list(args.values()), cfg)
-            lo, hi = model.bounds  # folded here, so a fold over budget is the kind's error
+            # scoring by the bounds folds them here, so a fold over budget is the kind's error
             distances = {sid: round(model_score(g, model, cfg), 6) for sid, g in args.items()}
         except (graphs.BudgetExceeded, graphs.EmptyInput) as exc:
             models[kind] = {"error": str(exc)}
             continue
-        models[kind] = {
-            "prototypes": len(model.prototypes),
-            "max_csg_size": lo.size,
-            "min_csg_size": hi.size,
-            "distances": distances,
-        }
+        models[kind] = {"prototypes": len(model.prototypes), "distances": distances}
+        try:
+            lo, hi = model.bounds
+        except graphs.BudgetExceeded as exc:  # the distances stand; no model file
+            models[kind]["bounds_error"] = str(exc)
+            continue
+        models[kind].update(max_csg_size=lo.size, min_csg_size=hi.size)
         (out_dir / f"model_{kind}.json").write_text(graphs.model_to_json(model))
 
     report = EvalReport(

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -377,18 +378,110 @@ class TestMcsOracle:
     def test_large_graph_set_up_memory_is_bounded(self):
         """A 60-vertex ring of one kind against itself has 3,600 vertex
         pairs; a pairs x pairs association array would take hundreds of MB
-        before the budget could trip."""
+        before the budget could trip.  The size search behind the distance
+        stops at the covering identity mapping (61 nodes) and returns."""
         n = 60
         g = Arg([(i, "segment") for i in range(n)], [(i, (i + 1) % n, *EE) for i in range(n)])
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
-                graph_distance(g, g, node_budget=1000)
+                max_common_subgraph(g, g, node_budget=1000)
+            assert graph_distance(g, g, node_budget=1000) == 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+
+def permuted(g, perm):
+    """g with vertex i renumbered perm[i]: an isomorphic copy."""
+    return Arg(sorted((perm[i], k) for i, k in g.vertices),
+               [(perm[a], perm[b], c, d) for a, b, c, d in g.edges])
+
+
+def list_distance(g1, g2, node_budget=10**9):
+    """1 - |mcs| / max(|g1|, |g2|) from the list search's mapping, and the
+    nodes that search visits."""
+    denom = max(g1.size, g2.size)
+    mapping, nodes = list_mcs_mapping(g1, g2, node_budget)
+    return (1.0 - len(mapping) / denom if denom else 0.0), nodes
+
+
+class TestSizeSearch:
+    """`graph_distance` and `model_distance` search for the size of a common
+    subgraph alone, and read the distances of the mapping search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_args(6), small_args(6))
+    def test_distance_equals_brute_force(self, g1, g2):
+        denom = max(g1.size, g2.size)
+        want = 1.0 - brute_mcs_size(g1, g2) / denom if denom else 0.0
+        assert graph_distance(g1, g2) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_args(), small_args())
+    def test_returns_wherever_the_mapping_search_does(self, g1, g2):
+        """At every budget at which `_mcs_mapping` returns, the distance is
+        its mapping's; below it, the distance raises or returns that value."""
+        want, nodes = list_distance(g1, g2)
+        for budget in set(range(1, min(nodes, 300) + 1)) | {max(nodes - 1, 1), nodes, nodes + 1}:
+            try:
+                got = graph_distance(g1, g2, budget)
+            except BudgetExceeded:
+                assert budget < nodes
+                continue
+            assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_args(5), st.lists(small_args(5), min_size=1, max_size=4), st.booleans(),
+           st.integers(1, 300), st.data())
+    def test_model_distance_is_least_mapping_distance(self, g, protos, use_bounds, budget, data):
+        """Half the prototype lists hold an isomorphic copy of g, where the
+        walk stops at 0.  Under a budget that every reference's mapping
+        search meets the least distance is returned; under a smaller one it
+        is returned or the search raises."""
+        if data.draw(st.booleans()):
+            copy = permuted(g, data.draw(st.permutations(range(g.size))))
+            protos.insert(data.draw(st.integers(0, len(protos))), copy)
+        model = generate_model(protos)
+        refs = list(eager_fold_bounds(protos)) if use_bounds else protos
+        scored = [list_distance(g, r) for r in refs]
+        want = min(d for d, _ in scored)
+        assert model_distance(g, model, use_bounds) == want
+        try:
+            got = model_distance(g, model, use_bounds, budget)
+        except BudgetExceeded:
+            assert budget < max(nodes for _, nodes in scored)
+            return
+        assert got == want
+
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        """Each search frees what it builds by reference counting, also when
+        its budget trips, so the collector finds nothing to collect after a
+        fold's calls; a recursive closure left referring to itself held
+        about 1,000 objects a fold."""
+        ring = Arg([(i, "segment") for i in range(8)], [(i, (i + 1) % 8, *EE) for i in range(8)])
+        line = path(["segment", "cycle", "segment", "segment"])
+        model = generate_model([line, ring])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            graph_distance(ring, line)
+            model_distance(ring, model)
+            model_distance(ring, model, True)
+            find_prototypes([ring, line, permuted(ring, [3, 4, 5, 6, 7, 0, 1, 2])])
+            assert is_isomorphic(ring, permuted(ring, [1, 2, 3, 4, 5, 6, 7, 0]))
+            for search in (graph_distance, max_common_subgraph):
+                try:
+                    search(ring, ring, node_budget=5)
+                except BudgetExceeded:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 class TestGraphAssemblyOracle:
     @settings(max_examples=300, deadline=None)

@@ -1,12 +1,15 @@
 import json
-from dataclasses import fields
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cartoseg.pipeline import PipelineConfig, evaluate, run_pipeline
 from cartoseg.raster import BinaryMask
-from cartoseg.synth import SceneSpec, corpus_specs, write_corpus
+from cartoseg.synth import SceneSpec, SpecError, corpus_specs, write_corpus
 
 
 def mask_of(bits):
@@ -155,19 +158,25 @@ class TestRunPipeline:
         kind = failed[0]["kind"]
         assert report.aggregate["extract"][kind]["incorrect"] >= 1
 
-    def test_fold_over_budget_is_the_kinds_error(self, tmp_path):
+    def test_fold_over_budget_keeps_the_distances(self, tmp_path):
         """At 500 nodes the roundabout fold trips and its prototype distances
-        do not (they need 409): the kind records the error, the report the
-        bridge model as before, and no roundabout model file is written."""
+        do not: the kind keeps its prototypes and distances and records the
+        fold's error beside them, the report keeps the bridge model as
+        before, and no roundabout model file is written.  Scoring by the
+        bounds needs the fold, so there the fold's error is the kind's."""
         write_corpus(tmp_path / "c", corpus_specs(3, 3, seed=5, noise=4.0, clutter=1))
         cfg = PipelineConfig(corpus=str(tmp_path / "c"), out=str(tmp_path / "out"), node_budget=500)
         report = run_pipeline(cfg)
+        bridge = ('"bridge": {"distances": {"scene_000": 0.0, "scene_001": 0.0, "scene_002": 0.0}, '
+                  '"max_csg_size": 2, "min_csg_size": 10, "prototypes": 3}')
         assert json.dumps(report.models, sort_keys=True) == (
-            '{"bridge": {"distances": {"scene_000": 0.0, "scene_001": 0.0, "scene_002": 0.0}, '
-            '"max_csg_size": 2, "min_csg_size": 10, "prototypes": 3}, '
-            '"roundabout": {"error": "graph search exceeded 500 nodes"}}'
+            '{' + bridge + ', "roundabout": {"bounds_error": "graph search exceeded 500 nodes", '
+            '"distances": {"scene_003": 0.0, "scene_004": 0.0, "scene_005": 0.0}, "prototypes": 3}}'
         )
         assert sorted(p.name for p in (tmp_path / "out").glob("model_*.json")) == ["model_bridge.json"]
+        report = run_pipeline(replace(cfg, out=str(tmp_path / "bounds"), distance_mode="bounds"))
+        assert report.models["roundabout"] == {"error": "graph search exceeded 500 nodes"}
+        assert sorted(p.name for p in (tmp_path / "bounds").glob("model_*.json")) == ["model_bridge.json"]
 
     def test_byte_identical_reruns(self, small_corpus, tmp_path):
         out_a = tmp_path / "a"
@@ -214,3 +223,32 @@ class TestRunPipeline:
         assert lines[0].split() == ["Step", "Object", "Correct", "Acceptable", "Incorrect"]
         assert len(lines) == 1 + 3 * 2  # three stages x two kinds
         assert "Segm." in text and "Match." in text and "Extract." in text
+
+
+@st.composite
+def accepted_specs(draw):
+    """Scene specs that `SceneSpec` accepts, 24-48 panchromatic pixels wide."""
+    try:
+        return SceneSpec(
+            kind=draw(st.sampled_from(("bridge", "roundabout"))),
+            pan_size=draw(st.sampled_from(range(24, 49, 4))),
+            clutter=draw(st.integers(0, 3)),
+            seed=draw(st.integers(0, 2**16)),
+            ms_margin=draw(st.integers(0, 8)),
+            offset=draw(st.tuples(st.integers(-10, 10), st.integers(-10, 10))),
+            noise=draw(st.sampled_from((0.0, 4.0, 8.0))),
+        )
+    except SpecError:
+        assume(False)
+
+
+class TestEveryCorpusEnds:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(accepted_specs(), min_size=1, max_size=3))
+    def test_one_record_per_scene(self, specs):
+        """Whatever a stage makes of a small rendered scene, the pipeline
+        ends with one record per manifest scene, in manifest order."""
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = write_corpus(Path(tmp) / "c", specs)
+            report = run_pipeline(PipelineConfig(corpus=str(Path(tmp) / "c"), out=str(Path(tmp) / "out")))
+        assert [s["id"] for s in report.scenes] == [e["id"] for e in manifest["scenes"]]
