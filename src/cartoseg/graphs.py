@@ -6,13 +6,18 @@ form an attributed relational graph, and a set of such graphs yields an
 object model: the maximal common subgraph and minimal common supergraph
 of its prototypes.  Scoring uses the normalized maximal-common-subgraph
 distance 1 - |mcs| / max(|g1|, |g2|) against the nearest prototype
-(Bunke & Shearer, PRL 19, 1998).  That distance reads only the size of a
-common subgraph, so it comes from a size-only search (`_mcs_size`) that
-prunes ties, starts from a floor it must beat, and stops once nothing
-larger can exist; the bounds take the mapping search (`_mcs_mapping`),
-which breaks ties.  The size search visits a subset of the mapping
-search's nodes, so a distance raises BudgetExceeded only where the mapping
-search would, and may return where it raises.
+(Bunke & Shearer, PRL 19, 1998).  An isomorphic prototype scores 0 before
+any search, if the isomorphism test finds it within the node budget.
+Otherwise the distance reads only the size of a common subgraph, so it
+comes from a size-only search (`_mcs_size`) that prunes ties, starts from
+a floor it must beat, and stops once nothing larger can exist; the bounds
+take the mapping search (`_mcs_mapping`), which breaks ties.  The size
+search visits a subset of the mapping search's nodes, so a distance raises
+BudgetExceeded only where the mapping search would, and may return where
+it raises.  What the isomorphism test reads of one graph (its invariant,
+adjacency rows, vertex kinds, neighbours by edge attribute, and the order
+it places the vertices in) is computed once per graph, on first read
+(`Arg`); a graph is frozen, which keeps that data valid.
 The scene generator writes its truth graphs in the same two primitives.
 
 Common-subgraph semantics here are *induced*: a vertex pairing is valid
@@ -25,7 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -213,14 +219,23 @@ def _farthest_pair(pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Arg:
-    """Attributed relational graph: typed vertices, typed+directed edges."""
+    """Attributed relational graph: typed vertices, typed+directed edges.
 
-    vertices: list[tuple[int, str]] = field(default_factory=list)
-    edges: list[tuple[int, int, str, str]] = field(default_factory=list)
+    The graph is frozen and stores its vertices and edges as tuples, so
+    nothing mutates it after construction, and the search data below
+    (`invariant`, `rows`, `kinds`, `near`, `match_plan`) is computed on
+    first read and kept.  It is plain tuples, lists and dicts of vertex
+    numbers, kinds and attributes, with no reference back to the graph, so
+    dropping a graph frees it by reference counting.
+    """
+
+    vertices: tuple[tuple[int, str], ...] = ()
+    edges: tuple[tuple[int, int, str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", tuple(self.vertices))
         ids = [v for v, _ in self.vertices]
         if ids != list(range(len(ids))):
             raise ValueError("vertex ids must be dense 0..n-1 in order")
@@ -235,7 +250,7 @@ class Arg:
                 raise ValueError("duplicate edge")
             seen.add((a, b))
             canon.append((a, b, conn, direction))
-        self.edges = canon
+        object.__setattr__(self, "edges", tuple(canon))
 
     @property
     def size(self) -> int:
@@ -246,6 +261,65 @@ class Arg:
 
     def edge_attrs(self) -> dict[tuple[int, int], tuple[str, str]]:
         return {(a, b): (conn, d) for a, b, conn, d in self.edges}
+
+    @cached_property
+    def invariant(self) -> tuple:
+        """Sorted vertex kinds and sorted edge attributes: equal for
+        isomorphic graphs."""
+        return tuple(sorted(self.kinds)), tuple(sorted(e[2:] for e in self.edges))
+
+    @cached_property
+    def rows(self) -> list[list]:
+        """Per vertex, the attributes of its edge to each vertex (None if none)."""
+        n = self.size
+        rows: list[list] = [[None] * n for _ in range(n)]
+        for a, b, conn, d in self.edges:
+            rows[a][b] = rows[b][a] = (conn, d)
+        return rows
+
+    @cached_property
+    def kinds(self) -> list[str]:
+        """The kind of each vertex."""
+        return [k for _, k in self.vertices]
+
+    @cached_property
+    def near(self) -> list[dict[tuple[str, str], list[int]]]:
+        """Per vertex, its neighbours grouped by edge attribute."""
+        near: list[dict] = [{} for _ in range(self.size)]
+        for a, b, conn, d in self.edges:
+            attr = (conn, d)
+            near[a].setdefault(attr, []).append(b)
+            near[b].setdefault(attr, []).append(a)
+        return near
+
+    @cached_property
+    def match_plan(self) -> tuple[list[int], list[int | None]]:
+        """The vertices in the order `_matches` places them, and for each
+        place the place of the vertex's first placed neighbour (None if it
+        has none).  The order is breadth first through each component,
+        isolated vertices last, so every vertex but a component's first is
+        placed against a neighbour's image: a match that fails in its edges
+        fails before it permutes the vertices that have none."""
+        near = self.near
+        order: list[int] = []
+        anchors: list[int | None] = []
+        placed = [False] * self.size
+        for root in sorted(range(self.size), key=lambda v: not near[v]):
+            if placed[root]:
+                continue
+            placed[root] = True
+            order.append(root)
+            anchors.append(None)
+            i = len(order) - 1
+            while i < len(order):  # the queue of the breadth-first pass
+                for vs in near[order[i]].values():
+                    for u in vs:
+                        if not placed[u]:
+                            placed[u] = True
+                            order.append(u)
+                            anchors.append(i)
+                i += 1
+        return order, anchors
 
 
 def arg_to_doc(g: Arg) -> dict:
@@ -265,9 +339,9 @@ def arg_from_json(text: str) -> Arg:
     FormatError for any document that does not describe a valid one."""
     try:
         doc = json.loads(text) if isinstance(text, str) else text
-        verts = [(int(v["id"]), str(v["kind"])) for v in doc["vertices"]]
+        verts = [(operator.index(v["id"]), str(v["kind"])) for v in doc["vertices"]]
         edges = [
-            (int(e["from"]), int(e["to"]), str(e["conn"]), str(e["dir"]))
+            (operator.index(e["from"]), operator.index(e["to"]), str(e["conn"]), str(e["dir"]))
             for e in doc["edges"]
         ]
         return Arg(verts, edges)
@@ -568,50 +642,50 @@ def min_common_supergraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDG
     edges = g1.edge_attrs()
     for u, v, conn, d in g2.edges:
         edges.setdefault(tuple(sorted((translate[u], translate[v]))), (conn, d))
-    verts = g1.vertices + [(translate[b], g2.kind(b)) for b in extra]
+    verts = [*g1.vertices, *((translate[b], g2.kind(b)) for b in extra)]
     return Arg(verts, [(a, b, *at) for (a, b), at in sorted(edges.items())])
 
 
-def _invariant(g: Arg) -> tuple:
-    """Sorted vertex kinds and sorted edge attributes: equal for isomorphic
-    graphs."""
-    return tuple(sorted(k for _, k in g.vertices)), tuple(sorted(e[2:] for e in g.edges))
-
-
-def _rows(g: Arg) -> list[list]:
-    """Per vertex, the attributes of its edge to each vertex (None if none)."""
-    n = g.size
-    rows: list[list] = [[None] * n for _ in range(n)]
-    for e in g.edges:
-        a, b = e[0], e[1]
-        rows[a][b] = rows[b][a] = e[2:]
-    return rows
-
-
-def _matches(g1: Arg, g2: Arg) -> bool:
+def _matches(g1: Arg, g2: Arg, node_budget: float = math.inf) -> bool:
     """Is there an isomorphism from g1 to g2?  Their invariants must be
-    equal.  Backtracks over g1's vertices in order, trying g2's in order."""
-    n = g1.size
-    kinds1, kinds2 = [k for _, k in g1.vertices], [k for _, k in g2.vertices]
-    rows1, rows2 = _rows(g1), _rows(g2)
+    equal.  Backtracks over g1's `Arg.match_plan`, trying g2's vertices of
+    the same kind in order, and, for a vertex with a placed neighbour, only
+    the neighbours of that neighbour's image under the same edge
+    attribute.  Raises BudgetExceeded once it has placed more than
+    ``node_budget`` vertices."""
+    order, anchors = g1.match_plan
+    kinds1, rows1 = g1.kinds, g1.rows
+    kinds2, near2, rows2 = g2.kinds, g2.near, g2.rows
+    n = len(order)
     used = [False] * n
-    assign = [0] * n
+    assign = [0] * n  # the image of each g1 vertex placed so far
+    placements = 0
 
-    def backtrack(v: int) -> bool:
-        if v == n:
+    def backtrack(p: int) -> bool:
+        nonlocal placements
+        if p == n:
             return True
-        kind, row = kinds1[v], rows1[v]
-        for w in range(n):
+        v, anchor = order[p], anchors[p]
+        kind, row, placed = kinds1[v], rows1[v], order[:p]
+        if anchor is None:
+            cands = range(n)
+        else:
+            u = order[anchor]
+            cands = near2[assign[u]].get(row[u], ())
+        for w in cands:
             if used[w] or kinds2[w] != kind:
                 continue
             image = rows2[w]
-            for u in range(v):
+            for u in placed:
                 if row[u] != image[assign[u]]:
                     break
             else:
+                placements += 1
+                if placements > node_budget:
+                    raise BudgetExceeded(f"isomorphism test exceeded {node_budget} placements")
                 used[w] = True
                 assign[v] = w
-                if backtrack(v + 1):
+                if backtrack(p + 1):
                     return True
                 used[w] = False
         return False
@@ -624,7 +698,7 @@ def _matches(g1: Arg, g2: Arg) -> bool:
 
 def is_isomorphic(g1: Arg, g2: Arg) -> bool:
     """Exact attributed-graph isomorphism (kinds, edges, edge attributes)."""
-    return _invariant(g1) == _invariant(g2) and _matches(g1, g2)
+    return g1.invariant == g2.invariant and _matches(g1, g2)
 
 
 def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
@@ -632,11 +706,13 @@ def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
     ordered by descending frequency (ties keep first appearance).
 
     Only graphs with equal invariants can be isomorphic, so each graph is
-    tested against its invariant's groups alone."""
+    tested against its invariant's groups alone.  The invariants, and what
+    a match reads of both graphs, are each graph's own search data
+    (`Arg`), computed once however many calls the graph takes part in."""
     groups: list[list] = []  # [representative, count], in order of appearance
     by_invariant: dict[tuple, list[list]] = {}
     for g in args:
-        same = by_invariant.setdefault(_invariant(g), [])
+        same = by_invariant.setdefault(g.invariant, [])
         for group in same:
             if _matches(g, group[0]):
                 group[1] += 1
@@ -708,14 +784,24 @@ def model_distance(
     ``use_bounds``, to the nearer of the two structural bounds): the least
     `graph_distance`, bit for bit.
 
-    The references are searched in order, each with the largest size that
-    would not lower the least distance so far as its floor (`_mcs_size`),
-    and the walk stops at a distance of 0.  So this raises BudgetExceeded
-    only where the mapping search of some reference would, and may return
-    where one raises."""
+    A reference isomorphic to the graph (equal invariants, then the match
+    of `is_isomorphic`) scores 0 before any search.  That match places at
+    most ``node_budget`` vertices per reference; a reference whose match
+    trips it is left to the walk.  The walk searches the references in
+    order, each with the largest size that would not lower the least
+    distance so far as its floor (`_mcs_size`), and stops at a distance of
+    0.  So this raises BudgetExceeded only where the mapping search of some
+    reference would, and may return where one raises."""
     refs = [model.max_csg, model.min_csg] if use_bounds else model.prototypes
     if not refs:
         raise EmptyInput("model carries no reference graphs")
+    for r in refs:
+        if g.invariant == r.invariant:
+            try:
+                if _matches(g, r, node_budget):
+                    return 0.0
+            except BudgetExceeded:
+                pass
     best = math.inf
     for r in refs:
         denom = max(g.size, r.size)

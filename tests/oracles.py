@@ -883,12 +883,11 @@ def scan_prototypes(args, min_support: int = 1):
     return [rep for rep, count in ranked if count >= min_support]
 
 
-def list_mcs_mapping(g1, g2, node_budget: int):
-    """Branch and bound over the association graph with list candidate
-    sets and a dense compatibility matrix.  Returns (mapping, nodes); the
-    node count is the number of search calls made."""
-    from cartoseg.graphs import BudgetExceeded
-
+def dense_association(g1, g2):
+    """The association graph as dense arrays: the vertex pairs of one kind
+    in (v1, v2) order, the pairs x pairs compatibility matrix (distinct
+    vertices on both sides, and equal edge attributes or no edge on both),
+    and the pairs x pairs matrix of adjacent g1 vertices."""
     pairs = [
         (a, b)
         for a in range(len(g1.vertices))
@@ -906,20 +905,32 @@ def list_mcs_mapping(g1, g2, node_budget: int):
         return e2.get((a, b) if a < b else (b, a))
 
     compat = np.zeros((n, n), dtype=bool)
+    adjacent = np.zeros((n, n), dtype=bool)
     for i in range(n):
         a1, b1 = pairs[i]
         for j in range(i + 1, n):
             a2, b2 = pairs[j]
+            adjacent[i, j] = adjacent[j, i] = attr1(a1, a2) is not None
             if a1 != a2 and b1 != b2 and attr1(a1, a2) == attr2(b1, b2):
                 compat[i, j] = compat[j, i] = True
+    return pairs, compat, adjacent
+
+
+def list_mcs_mapping(g1, g2, node_budget: int):
+    """Branch and bound over the association graph with list candidate
+    sets and a dense compatibility matrix.  Returns (mapping, nodes); the
+    node count is the number of search calls made."""
+    from cartoseg.graphs import BudgetExceeded
+
+    pairs, compat, adjacent = dense_association(g1, g2)
+    n = len(pairs)
 
     def edge_count(chosen):
-        total = 0
-        for x in range(len(chosen)):
-            for y in range(x + 1, len(chosen)):
-                if attr1(pairs[chosen[x]][0], pairs[chosen[y]][0]) is not None:
-                    total += 1
-        return total
+        return sum(
+            int(adjacent[chosen[x], chosen[y]])
+            for x in range(len(chosen))
+            for y in range(x + 1, len(chosen))
+        )
 
     best: list[int] = []
     best_score = (0, -1)

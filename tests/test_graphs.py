@@ -2,10 +2,12 @@ import gc
 import json
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cartoseg import edges, graphs
@@ -31,8 +33,10 @@ from cartoseg.graphs import (
     model_distance,
     model_from_json,
     model_to_json,
+    _association,
     _farthest_pair,
     _label_arcs,
+    _matches,
     _mcs_mapping,
     _reduced_degree,
     _two_core,
@@ -45,6 +49,7 @@ from oracles import (
     brute_isomorphic,
     brute_mcs_size,
     can_embed,
+    dense_association,
     eager_fold_bounds,
     glue_supergraph,
     list_mcs_mapping,
@@ -83,7 +88,18 @@ class TestArgType:
 
     def test_canonical_orientation(self):
         g = Arg([(0, "a"), (1, "b")], [(1, 0, "overlap", "NE")])
-        assert g.edges == [(0, 1, "overlap", "NE")]
+        assert g.edges == ((0, 1, "overlap", "NE"),)
+
+    def test_graph_cannot_change(self):
+        """A graph keeps its search data once read, so it is frozen and its
+        vertices and edges are tuples."""
+        g = Arg([(0, "a"), (1, "b")], [(1, 0, "overlap", "NE")])
+        assert g.rows[0][1] == ("overlap", "NE")
+        assert g.vertices == ((0, "a"), (1, "b"))
+        with pytest.raises(FrozenInstanceError):
+            g.edges = ()
+        with pytest.raises(AttributeError):
+            g.edges.append((0, 1, "overlap", "E"))
 
     def test_json_roundtrip(self):
         g = path(["a", "b", "c"])
@@ -252,13 +268,13 @@ class TestBuildArg:
         b = make_segment((10.0, 0.0), (20.0, 0.0))
         g = build_arg([a, b], adjacency_tol=2.0)
         assert g.size == 2
-        assert g.edges == [(0, 1, "end-to-end", "E")]
+        assert g.edges == ((0, 1, "end-to-end", "E"),)
 
     def test_distant_primitives_no_edge(self):
         a = make_segment((0.0, 0.0), (5.0, 0.0))
         b = make_segment((50.0, 50.0), (60.0, 50.0))
         g = build_arg([a, b], adjacency_tol=2.0)
-        assert g.edges == []
+        assert g.edges == ()
 
     def test_roundabout_star_distinct_directions(self):
         circle = Primitive("circle", (0.0, 0.0), radius=10.0)
@@ -287,7 +303,7 @@ class TestBuildArg:
         a = make_segment((0.0, 0.0), (20.0, 0.0))
         b = make_segment((0.0, 0.5), (20.0, 0.5))
         g = build_arg([a, b], adjacency_tol=1.0)
-        assert g.edges == [(0, 1, "overlap", "N")]
+        assert g.edges == ((0, 1, "overlap", "N"),)
 
 
 class TestMaxCommonSubgraph:
@@ -375,6 +391,27 @@ class TestMcsOracle:
             with pytest.raises(BudgetExceeded):
                 _mcs_mapping(g1, g2, nodes - 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_args(), small_args(), st.data())
+    def test_association_equals_dense_matrix(self, g1, g2, data):
+        """The set-up gives the dense oracle's pairs, compatibility rows and
+        neighbour sets, on unrelated graphs and on a permuted copy; `sides`
+        holds each vertex's pairs, the side with fewer vertices first."""
+        if data.draw(st.booleans()):
+            g2 = permuted(g1, data.draw(st.permutations(range(g1.size))))
+        pairs, compat, nbr, sides = _association(g1, g2)
+        want_pairs, want_compat, want_adjacent = dense_association(g1, g2)
+
+        def bits(row):
+            return sum(1 << int(j) for j in np.flatnonzero(row))
+
+        assert pairs == want_pairs
+        assert compat == [bits(row) for row in want_compat]
+        assert nbr == [bits(row) for row in want_adjacent]
+        of = [[bits([p[side] == v for p in pairs]) for v in range(g.size)]
+              for side, g in enumerate((g1, g2))]
+        assert sides == sorted(([m for m in of[0] if m], [m for m in of[1] if m]), key=len)
+
     def test_large_graph_set_up_memory_is_bounded(self):
         """A 60-vertex ring of one kind against itself has 3,600 vertex
         pairs; a pairs x pairs association array would take hundreds of MB
@@ -455,29 +492,81 @@ class TestSizeSearch:
             return
         assert got == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_args(5), st.lists(small_args(5), min_size=1, max_size=4), st.booleans())
+    def test_no_isomorphic_reference_is_least_mapping_distance(self, g, protos, use_bounds):
+        """Without an isomorphic reference the first step returns nothing,
+        and the walk gives the least mapping distance, which is above 0."""
+        refs = list(eager_fold_bounds(protos)) if use_bounds else protos
+        assume(not any(brute_isomorphic(g, r) for r in refs))
+        want = min(list_distance(g, r)[0] for r in refs)
+        assert model_distance(g, generate_model(protos), use_bounds) == want > 0.0
+
+    def test_isomorphic_prototype_scores_zero_before_any_search(self):
+        """A permuted copy of the shape sits behind a prototype whose search
+        trips the budget: the copy scores 0, and no search runs."""
+        ring = Arg([(i, "segment") for i in range(8)], [(i, (i + 1) % 8, *EE) for i in range(8)])
+        loose = Arg([(i, "segment") for i in range(8)], [])
+        with pytest.raises(BudgetExceeded):
+            graph_distance(ring, loose, node_budget=20)
+        model = generate_model([loose, permuted(ring, [3, 4, 5, 6, 7, 0, 1, 2])])
+        assert model_distance(ring, model, node_budget=20) == 0.0
+
+    def test_match_that_trips_the_budget_is_left_to_the_search(self):
+        """Eight disjoint edges, a triangle and an isolated vertex against
+        eight disjoint edges and a path: equal invariants, no isomorphism,
+        and a match that tries every placement of the edges before the
+        triangle fails (seconds at six edges with no budget, about 13 times
+        longer per edge).  The match stops at the node budget and the
+        reference goes to the size search, which raises where
+        `graph_distance` does; a later isomorphic reference still scores 0."""
+        k = 8
+        verts = [(i, "segment") for i in range(2 * k + 4)]
+        pairs = [(2 * i, 2 * i + 1, *EE) for i in range(k)]
+        tri = Arg(verts, pairs + [(2 * k, 2 * k + 1, *EE), (2 * k + 1, 2 * k + 2, *EE), (2 * k, 2 * k + 2, *EE)])
+        line = Arg(verts, pairs + [(2 * k, 2 * k + 1, *EE), (2 * k + 1, 2 * k + 2, *EE), (2 * k + 2, 2 * k + 3, *EE)])
+        assert tri.invariant == line.invariant
+        with pytest.raises(BudgetExceeded):
+            _matches(tri, line, node_budget=1000)
+        with pytest.raises(BudgetExceeded):
+            graph_distance(tri, line, node_budget=1000)
+        with pytest.raises(BudgetExceeded):
+            model_distance(tri, generate_model([line]), node_budget=1000)
+        copy = permuted(tri, [v ^ 1 for v in range(2 * k)] + [2 * k + 1, 2 * k + 2, 2 * k, 2 * k + 3])
+        assert model_distance(tri, generate_model([line, copy]), node_budget=1000) == 0.0
 
     def test_searches_leave_no_cyclic_garbage(self):
         """Each search frees what it builds by reference counting, also when
-        its budget trips, so the collector finds nothing to collect after a
-        fold's calls; a recursive closure left referring to itself held
-        about 1,000 objects a fold."""
-        ring = Arg([(i, "segment") for i in range(8)], [(i, (i + 1) % 8, *EE) for i in range(8)])
-        line = path(["segment", "cycle", "segment", "segment"])
-        model = generate_model([line, ring])
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            gc.collect()
+        its budget trips, and no graph's cached search data refers back to
+        its graph, so the collector finds nothing to collect after a fold's
+        calls; a recursive closure left referring to itself held about
+        1,000 objects a fold."""
+        cached = [name for name, attr in vars(Arg).items() if isinstance(attr, cached_property)]
+
+        def fold():
+            ring = Arg([(i, "segment") for i in range(8)], [(i, (i + 1) % 8, *EE) for i in range(8)])
+            line = path(["segment", "cycle", "segment", "segment"])
+            copies = [permuted(ring, [3, 4, 5, 6, 7, 0, 1, 2]), permuted(ring, [1, 2, 3, 4, 5, 6, 7, 0])]
+            model = generate_model([line, ring])
             graph_distance(ring, line)
             model_distance(ring, model)
             model_distance(ring, model, True)
-            find_prototypes([ring, line, permuted(ring, [3, 4, 5, 6, 7, 0, 1, 2])])
-            assert is_isomorphic(ring, permuted(ring, [1, 2, 3, 4, 5, 6, 7, 0]))
+            find_prototypes([ring, line, copies[0]])
+            assert is_isomorphic(ring, copies[1])
             for search in (graph_distance, max_common_subgraph):
                 try:
                     search(ring, ring, node_budget=5)
                 except BudgetExceeded:
                     pass
+            for g in (ring, line, *copies, *model.bounds):
+                for name in cached:
+                    getattr(g, name)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            fold()
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -571,6 +660,29 @@ class TestPrototypes:
             g1 = random_arg(rng, max_vertices=4)
             g2 = random_arg(rng, max_vertices=4)
             assert is_isomorphic(g1, g2) == brute_isomorphic(g1, g2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_args(6), st.data())
+    def test_equal_invariants_agree_with_brute_force(self, g, data):
+        """A copy with the same kinds and edge attributes, its edges moved
+        to other vertex pairs, is isomorphic or not as the brute force says."""
+        links = [(a, b) for a in range(g.size) for b in range(a + 1, g.size)]
+        ends = data.draw(st.permutations(links))[:len(g.edges)]
+        h = Arg(g.vertices, [(a, b, *e[2:]) for (a, b), e in zip(ends, g.edges)])
+        assert h.invariant == g.invariant
+        assert is_isomorphic(g, h) == brute_isomorphic(g, h)
+
+    def test_isolated_vertices_before_a_failing_edge(self):
+        """Thirty isolated vertices numbered before a triangle, against a
+        path of three edges: equal invariants and no isomorphism.  The
+        match places vertices with edges first, so it fails before it
+        tries the isolated vertices' 30! orders."""
+        k, n = 30, 33
+        tri = Arg([(i, "segment") for i in range(n)], [(k, k + 1, *EE), (k + 1, k + 2, *EE), (k, k + 2, *EE)])
+        line = Arg([(i, "segment") for i in range(n)], [(k - 1, k, *EE), (k, k + 1, *EE), (k + 1, k + 2, *EE)])
+        assert tri.invariant == line.invariant
+        assert not is_isomorphic(tri, line) and not is_isomorphic(line, tri)
+        assert len(find_prototypes([tri, line, tri])) == 2
 
     def test_frequency_order(self):
         x = path(["a", "b"])
@@ -781,6 +893,27 @@ _arg = _doc(
                            "conn": st.just("overlap"), "dir": st.just("E")}), max_size=3),
 )
 _model = _doc(max_csg=_arg, min_csg=_arg, prototypes=st.lists(_arg, max_size=2))
+
+
+class TestArgIds:
+    """Vertex ids and edge ends are JSON integers: a float or a numeric
+    string is not truncated or parsed into one."""
+
+    @pytest.mark.parametrize("vertex, edge", [
+        ({"id": 0.9}, None), ({"id": 0.0}, None), ({"id": "0"}, None),
+        ({"id": 0}, {"from": 0, "to": 1.5}), ({"id": 0}, {"from": "0", "to": 1}),
+        ({"id": 0}, {"from": 0.0, "to": 1}),
+    ])
+    def test_non_integer_is_format_error(self, vertex, edge):
+        doc = {"vertices": [{**vertex, "kind": "circle"}, {"id": 1, "kind": "segment"}],
+               "edges": [{**edge, "conn": "overlap", "dir": "E"}] if edge else []}
+        with pytest.raises(FormatError):
+            arg_from_json(json.dumps(doc))
+
+    def test_integers_build(self):
+        doc = {"vertices": [{"id": 0, "kind": "circle"}, {"id": 1, "kind": "segment"}],
+               "edges": [{"from": 1, "to": 0, "conn": "overlap", "dir": "E"}]}
+        assert arg_from_json(json.dumps(doc)).edges == ((0, 1, "overlap", "E"),)
 
 
 class TestJsonFuzz:
