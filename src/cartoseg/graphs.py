@@ -6,19 +6,25 @@ form an attributed relational graph, and a set of such graphs yields an
 object model: the maximal common subgraph and minimal common supergraph
 of its prototypes.  Scoring uses the normalized maximal-common-subgraph
 distance 1 - |mcs| / max(|g1|, |g2|) against the nearest prototype
-(Bunke & Shearer, PRL 19, 1998).  An isomorphic prototype scores 0 before
-any search, if the isomorphism test finds it within the node budget.
-Otherwise the distance reads only the size of a common subgraph, so it
-comes from a size-only search (`_mcs_size`) that prunes ties, starts from
-a floor it must beat, and stops once nothing larger can exist; the bounds
-take the mapping search (`_mcs_mapping`), which breaks ties.  The size
-search visits a subset of the mapping search's nodes, so a distance raises
-BudgetExceeded only where the mapping search would, and may return where
-it raises.  What the isomorphism test reads of one graph (its invariant,
-adjacency rows, vertex kinds, neighbours by edge attribute, and the order
-it places the vertices in) is computed once per graph, on first read
-(`Arg`); a graph is frozen, which keeps that data valid.
-The scene generator writes its truth graphs in the same two primitives.
+(Bunke & Shearer, PRL 19, 1998), computed in one place (`graph_distance`).
+An isomorphic prototype scores 0 before any search.  Otherwise the
+distance reads only the size of a common subgraph, so it comes from a
+size-only search (`_mcs_size`) that prunes ties, starts from a floor it
+must beat, and stops once nothing larger can exist; the bounds take the
+mapping search (`_mcs_mapping`), which breaks ties.  What the isomorphism
+test reads of one graph (its invariant, adjacency rows, vertex kinds,
+neighbours by edge attribute, and the order it places the vertices in) is
+computed once per graph, on first read (`Arg`); a graph is frozen, which
+keeps that data valid.  The scene generator writes its truth graphs in the
+same two primitives.
+
+Every exact search takes a node budget and raises BudgetExceeded once it
+goes past it, rather than approximating: the isomorphism test counts the
+vertices it places, the common-subgraph searches their search nodes.  The
+size search visits a subset of the mapping search's nodes, so a distance
+raises only where the mapping search would, and may return where it
+raises.  A reference whose isomorphism test trips the budget while a graph
+is scored is left to the size search.
 
 Common-subgraph semantics here are *induced*: a vertex pairing is valid
 only when each mapped pair of vertices agrees on edge presence and edge
@@ -256,12 +262,6 @@ class Arg:
     def size(self) -> int:
         return len(self.vertices)
 
-    def kind(self, i: int) -> str:
-        return self.vertices[i][1]
-
-    def edge_attrs(self) -> dict[tuple[int, int], tuple[str, str]]:
-        return {(a, b): (conn, d) for a, b, conn, d in self.edges}
-
     @cached_property
     def invariant(self) -> tuple:
         """Sorted vertex kinds and sorted edge attributes: equal for
@@ -334,14 +334,22 @@ def arg_to_json(g: Arg) -> str:
     return json.dumps(arg_to_doc(g), sort_keys=True)
 
 
+def _text(value, allowed: tuple[str, ...] | None = None) -> str:
+    """A JSON string, and one of ``allowed`` when given; ValueError if not."""
+    if not isinstance(value, str) or allowed is not None and value not in allowed:
+        raise ValueError(f"unexpected value {value!r}")
+    return value
+
+
 def arg_from_json(text: str) -> Arg:
     """The graph an `arg_to_json` document (text or parsed) describes;
     FormatError for any document that does not describe a valid one."""
     try:
         doc = json.loads(text) if isinstance(text, str) else text
-        verts = [(operator.index(v["id"]), str(v["kind"])) for v in doc["vertices"]]
+        verts = [(operator.index(v["id"]), _text(v["kind"])) for v in doc["vertices"]]
         edges = [
-            (operator.index(e["from"]), operator.index(e["to"]), str(e["conn"]), str(e["dir"]))
+            (operator.index(e["from"]), operator.index(e["to"]),
+             _text(e["conn"], CONNECTION_KINDS), _text(e["dir"], DIRECTION_BINS))
             for e in doc["edges"]
         ]
         return Arg(verts, edges)
@@ -582,9 +590,7 @@ def _mcs_size(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET, floor: i
     what a distance reads.  The incumbent starts at ``floor``, a branch that
     cannot beat it stops (ties are not explored), and the search ends once
     the incumbent covers the side with fewer paired vertices.  By induction
-    over the search order, it visits a subset of `_mcs_mapping`'s nodes: it
-    raises BudgetExceeded only where `_mcs_mapping` raises, and it may
-    return where that raises.
+    over the search order, it visits a subset of `_mcs_mapping`'s nodes.
     """
     if floor >= min(g1.size, g2.size):
         return floor
@@ -622,7 +628,7 @@ def _mcs_size(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET, floor: i
 def _induced_subgraph(g: Arg, keep: list[int]) -> Arg:
     remap = {v: i for i, v in enumerate(sorted(keep))}
     edges = [(remap[a], remap[b], c, d) for a, b, c, d in g.edges if a in remap and b in remap]
-    return Arg([(i, g.kind(v)) for v, i in remap.items()], sorted(edges))
+    return Arg([(i, g.kinds[v]) for v, i in remap.items()], sorted(edges))
 
 
 def max_common_subgraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> Arg:
@@ -639,20 +645,19 @@ def min_common_supergraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDG
     translate = {b: a for a, b in _mcs_mapping(g1, g2, node_budget)}  # g2 -> result
     extra = [b for b in range(g2.size) if b not in translate]
     translate.update((b, g1.size + k) for k, b in enumerate(extra))
-    edges = g1.edge_attrs()
+    edges = {(a, b): (conn, d) for a, b, conn, d in g1.edges}
     for u, v, conn, d in g2.edges:
         edges.setdefault(tuple(sorted((translate[u], translate[v]))), (conn, d))
-    verts = [*g1.vertices, *((translate[b], g2.kind(b)) for b in extra)]
+    verts = [*g1.vertices, *((translate[b], g2.kinds[b]) for b in extra)]
     return Arg(verts, [(a, b, *at) for (a, b), at in sorted(edges.items())])
 
 
-def _matches(g1: Arg, g2: Arg, node_budget: float = math.inf) -> bool:
+def _matches(g1: Arg, g2: Arg, node_budget: int) -> bool:
     """Is there an isomorphism from g1 to g2?  Their invariants must be
     equal.  Backtracks over g1's `Arg.match_plan`, trying g2's vertices of
     the same kind in order, and, for a vertex with a placed neighbour, only
     the neighbours of that neighbour's image under the same edge
-    attribute.  Raises BudgetExceeded once it has placed more than
-    ``node_budget`` vertices."""
+    attribute."""
     order, anchors = g1.match_plan
     kinds1, rows1 = g1.kinds, g1.rows
     kinds2, near2, rows2 = g2.kinds, g2.near, g2.rows
@@ -696,12 +701,14 @@ def _matches(g1: Arg, g2: Arg, node_budget: float = math.inf) -> bool:
         del backtrack  # as in `_mcs_mapping`
 
 
-def is_isomorphic(g1: Arg, g2: Arg) -> bool:
+def is_isomorphic(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exact attributed-graph isomorphism (kinds, edges, edge attributes)."""
-    return g1.invariant == g2.invariant and _matches(g1, g2)
+    return g1.invariant == g2.invariant and _matches(g1, g2, node_budget)
 
 
-def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
+def find_prototypes(
+    args: list[Arg], min_support: int = 1, node_budget: int = DEFAULT_NODE_BUDGET
+) -> list[Arg]:
     """One representative per exact-isomorphism class with enough support,
     ordered by descending frequency (ties keep first appearance).
 
@@ -714,7 +721,7 @@ def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
     for g in args:
         same = by_invariant.setdefault(g.invariant, [])
         for group in same:
-            if _matches(g, group[0]):
+            if _matches(g, group[0], node_budget):
                 group[1] += 1
                 break
         else:
@@ -727,10 +734,15 @@ def find_prototypes(args: list[Arg], min_support: int = 1) -> list[Arg]:
 
 @dataclass(eq=False)
 class ObjectModel:
-    """Prototypes, and the structural bounds folded from them on first read."""
+    """Prototypes, at least one, and the structural bounds folded from them
+    on first read."""
 
     prototypes: list[Arg]
     node_budget: int = DEFAULT_NODE_BUDGET
+
+    def __post_init__(self) -> None:
+        if not self.prototypes:
+            raise EmptyInput("a model needs at least one prototype")
 
     @cached_property
     def bounds(self) -> tuple[Arg, Arg]:
@@ -738,8 +750,6 @@ class ObjectModel:
         first read; the prototypes must not change after it.  The result can
         depend on their order, so it is fixed: canonically by descending
         frequency."""
-        if not self.prototypes:
-            raise EmptyInput("a model needs at least one prototype")
         lo = hi = self.prototypes[0]
         for p in self.prototypes[1:]:
             lo = max_common_subgraph(lo, p, self.node_budget)
@@ -757,21 +767,25 @@ class ObjectModel:
 
 def generate_model(prototypes: list[Arg], node_budget: int = DEFAULT_NODE_BUDGET) -> ObjectModel:
     """The model of the prototypes; its bounds are folded when first read."""
-    if not prototypes:
-        raise EmptyInput("a model needs at least one prototype")
     return ObjectModel(list(prototypes), node_budget)
 
 
-def graph_distance(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
-    """Normalized mcs distance: 1 - |mcs| / max(|g1|, |g2|), in [0, 1].
+def graph_distance(
+    g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET, best: float = math.inf
+) -> float:
+    """The lesser of ``best`` and the normalized mcs distance
+    1 - |mcs| / max(|g1|, |g2|), in [0, 1].
 
-    Only the size of a common subgraph is searched for (`_mcs_size`), so
-    this raises BudgetExceeded only where `max_common_subgraph` would, and
-    may return where it raises."""
+    Only the size of a common subgraph is searched for (`_mcs_size`), from
+    the largest floor that would not lower ``best``: a common subgraph that
+    does not beat it cannot bring the distance below ``best``."""
     denom = max(g1.size, g2.size)
     if denom == 0:
         return 0.0
-    return 1.0 - _mcs_size(g1, g2, node_budget) / denom
+    floor = 0
+    while floor < denom and 1.0 - (floor + 1) / denom >= best:
+        floor += 1
+    return min(best, 1.0 - _mcs_size(g1, g2, node_budget, floor) / denom)
 
 
 def model_distance(
@@ -782,35 +796,21 @@ def model_distance(
 ) -> float:
     """Distance from a graph to the nearest prototype (or, with
     ``use_bounds``, to the nearer of the two structural bounds): the least
-    `graph_distance`, bit for bit.
+    `graph_distance`.
 
-    A reference isomorphic to the graph (equal invariants, then the match
-    of `is_isomorphic`) scores 0 before any search.  That match places at
-    most ``node_budget`` vertices per reference; a reference whose match
-    trips it is left to the walk.  The walk searches the references in
-    order, each with the largest size that would not lower the least
-    distance so far as its floor (`_mcs_size`), and stops at a distance of
-    0.  So this raises BudgetExceeded only where the mapping search of some
-    reference would, and may return where one raises."""
+    A reference isomorphic to the graph scores 0 before any search.  The
+    other references are searched in order, each passed the least distance
+    so far, and the walk stops at a distance of 0."""
     refs = [model.max_csg, model.min_csg] if use_bounds else model.prototypes
-    if not refs:
-        raise EmptyInput("model carries no reference graphs")
     for r in refs:
-        if g.invariant == r.invariant:
-            try:
-                if _matches(g, r, node_budget):
-                    return 0.0
-            except BudgetExceeded:
-                pass
+        try:
+            if is_isomorphic(g, r, node_budget):
+                return 0.0
+        except BudgetExceeded:
+            pass
     best = math.inf
     for r in refs:
-        denom = max(g.size, r.size)
-        if denom == 0:
-            return 0.0
-        floor = 0
-        while floor < denom and 1.0 - (floor + 1) / denom >= best:
-            floor += 1
-        best = min(best, 1.0 - _mcs_size(g, r, node_budget, floor) / denom)
+        best = graph_distance(g, r, node_budget, best)
         if best == 0.0:
             break
     return best
@@ -836,5 +836,5 @@ def model_from_json(text: str) -> ObjectModel:
         model = ObjectModel([arg_from_json(p) for p in doc["prototypes"]])
         model.bounds = bounds  # read from the document, not folded
         return model
-    except DOC_ERRORS as exc:
+    except (*DOC_ERRORS, EmptyInput) as exc:
         raise FormatError(f"not a model: {type(exc).__name__}: {exc}") from exc

@@ -340,7 +340,7 @@ def shape_graph(mask: BinaryMask, resolution: float, cfg: PipelineConfig) -> gra
 def fit_model(args: list[graphs.Arg], cfg: PipelineConfig) -> graphs.ObjectModel:
     """Structural model of the prototypes of the given graphs (bounds folded
     on first read); raises EmptyInput when no prototype reaches ``min_support``."""
-    protos = graphs.find_prototypes(args, cfg.min_support)
+    protos = graphs.find_prototypes(args, cfg.min_support, cfg.node_budget)
     if not protos:
         raise graphs.EmptyInput("no prototype reached min_support")
     return graphs.generate_model(protos, cfg.node_budget)
@@ -358,12 +358,12 @@ def run_scene(
     truth_offset: tuple[int, int],
     t: ThresholdPair,
     cfg: PipelineConfig,
-    out_dir: Path | None = None,
-    sid: str = "scene",
+    out_dir: Path,
+    sid: str,
 ) -> dict:
     """All imaging stages for one scene; returns the per-scene record."""
     record: dict = {"stages": {}}
-    saving = out_dir is not None and cfg.save_intermediates
+    saving = cfg.save_intermediates
 
     def save(img, name):
         if saving:

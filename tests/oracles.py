@@ -835,6 +835,23 @@ def random_arg(rng, max_vertices=5, kinds=("rectangle", "circle", "segment")):
     return Arg(vertices, edges)
 
 
+def edges_then_triangle(k: int):
+    """k disjoint edges, a triangle and an isolated vertex, against k
+    disjoint edges and a path of three edges, all of one kind and edge
+    attribute: equal invariants and no isomorphism.  A backtracking match
+    tries every placement of the edges before the triangle fails, about 13
+    times longer per edge (seconds at six edges)."""
+    from cartoseg.graphs import Arg
+
+    ee = ("end-to-end", "E")
+    verts = [(i, "segment") for i in range(2 * k + 4)]
+    pairs = [(2 * i, 2 * i + 1, *ee) for i in range(k)]
+    a, b, c, d = range(2 * k, 2 * k + 4)
+    tri = Arg(verts, pairs + [(a, b, *ee), (b, c, *ee), (a, c, *ee)])
+    line = Arg(verts, pairs + [(a, b, *ee), (b, c, *ee), (c, d, *ee)])
+    return tri, line
+
+
 def pointwise_reduced_degree(bits: np.ndarray) -> np.ndarray:
     """Per pixel of `bits`: its orthogonal neighbors, plus each diagonal
     neighbor that shares no set orthogonal neighbor with it."""
@@ -895,8 +912,8 @@ def dense_association(g1, g2):
         if g1.vertices[a][1] == g2.vertices[b][1]
     ]
     n = len(pairs)
-    e1 = g1.edge_attrs()
-    e2 = g2.edge_attrs()
+    e1 = {(a, b): (c, d) for a, b, c, d in g1.edges}
+    e2 = {(a, b): (c, d) for a, b, c, d in g2.edges}
 
     def attr1(a, b):
         return e1.get((a, b) if a < b else (b, a))
@@ -1047,8 +1064,8 @@ def probe_induced_subgraph(g, keep):
 
     keep = sorted(keep)
     remap = {v: i for i, v in enumerate(keep)}
-    verts = [(remap[v], g.kind(v)) for v in keep]
-    attrs = g.edge_attrs()
+    verts = [(remap[v], g.vertices[v][1]) for v in keep]
+    attrs = {(a, b): (c, d) for a, b, c, d in g.edges}
     edges = []
     for x in range(len(keep)):
         for y in range(x + 1, len(keep)):
@@ -1072,14 +1089,14 @@ def glue_supergraph(g1, g2, mapping):
             translate[b] = next_id
             next_id += 1
     verts = list(g1.vertices) + [
-        (translate[b], g2.kind(b)) for b in range(g2.size) if b not in to_g1
+        (translate[b], g2.vertices[b][1]) for b in range(g2.size) if b not in to_g1
     ]
-    edges = {(a, b): at for (a, b), at in g1.edge_attrs().items()}
-    for (u, v), at in g2.edge_attrs().items():
+    edges = {(a, b): (c, d) for a, b, c, d in g1.edges}
+    for u, v, c, d in g2.edges:
         a, b = translate[u], translate[v]
         key = (a, b) if a < b else (b, a)
         if key not in edges:
-            edges[key] = at
+            edges[key] = (c, d)
     edge_list = [(a, b, at[0], at[1]) for (a, b), at in sorted(edges.items())]
     return Arg(verts, edge_list)
 

@@ -139,10 +139,15 @@ class TestExitCodes:
          ("--arg", '{"vertices": [{"id": 0}], "edges": []}'),
          ("--arg", '{"vertices": [{"id": 0, "kind": "circle"}],'
                    ' "edges": [{"from": 0, "to": 0, "conn": "overlap", "dir": "E"}]}'),
+         ("--arg", '{"vertices": [{"id": 0, "kind": "circle"}, {"id": 1, "kind": "circle"}],'
+                   ' "edges": [{"from": 0, "to": 1, "conn": [1], "dir": "E"}]}'),
          ("--model", '{"max_csg": 1}'),
-         ("--model", "[1, 2]")],
+         ("--model", "[1, 2]"),
+         ("--model", '{"max_csg": {"vertices": [], "edges": []},'
+                     ' "min_csg": {"vertices": [], "edges": []}, "prototypes": []}')],
         ids=["edges-text", "edges-no-chains", "edges-one-point", "edges-fractional-width",
-             "arg-no-kind", "arg-self-loop", "model-int-bound", "model-list"],
+             "arg-no-kind", "arg-self-loop", "arg-list-conn", "model-int-bound", "model-list",
+             "model-no-prototypes"],
     )
     def test_malformed_json_is_two(self, tmp_path, corpus_dir, flag, text, capsys):
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]

@@ -51,6 +51,7 @@ from oracles import (
     can_embed,
     dense_association,
     eager_fold_bounds,
+    edges_then_triangle,
     glue_supergraph,
     list_mcs_mapping,
     loop_decompose,
@@ -513,18 +514,12 @@ class TestSizeSearch:
         assert model_distance(ring, model, node_budget=20) == 0.0
 
     def test_match_that_trips_the_budget_is_left_to_the_search(self):
-        """Eight disjoint edges, a triangle and an isolated vertex against
-        eight disjoint edges and a path: equal invariants, no isomorphism,
-        and a match that tries every placement of the edges before the
-        triangle fails (seconds at six edges with no budget, about 13 times
-        longer per edge).  The match stops at the node budget and the
-        reference goes to the size search, which raises where
-        `graph_distance` does; a later isomorphic reference still scores 0."""
+        """`edges_then_triangle` at eight edges: the match stops at the node
+        budget and the reference goes to the size search, which raises
+        where `graph_distance` does; a later isomorphic reference still
+        scores 0."""
         k = 8
-        verts = [(i, "segment") for i in range(2 * k + 4)]
-        pairs = [(2 * i, 2 * i + 1, *EE) for i in range(k)]
-        tri = Arg(verts, pairs + [(2 * k, 2 * k + 1, *EE), (2 * k + 1, 2 * k + 2, *EE), (2 * k, 2 * k + 2, *EE)])
-        line = Arg(verts, pairs + [(2 * k, 2 * k + 1, *EE), (2 * k + 1, 2 * k + 2, *EE), (2 * k + 2, 2 * k + 3, *EE)])
+        tri, line = edges_then_triangle(k)
         assert tri.invariant == line.invariant
         with pytest.raises(BudgetExceeded):
             _matches(tri, line, node_budget=1000)
@@ -534,6 +529,19 @@ class TestSizeSearch:
             model_distance(tri, generate_model([line]), node_budget=1000)
         copy = permuted(tri, [v ^ 1 for v in range(2 * k)] + [2 * k + 1, 2 * k + 2, 2 * k, 2 * k + 3])
         assert model_distance(tri, generate_model([line, copy]), node_budget=1000) == 0.0
+
+    def test_scoring_goes_through_graph_distance(self, monkeypatch):
+        """With no isomorphic prototype, each prototype's distance is one
+        `graph_distance` call, passed the least distance so far."""
+        calls = []
+        distance = graphs.graph_distance
+        monkeypatch.setattr(graphs, "graph_distance",
+                            lambda g1, g2, *rest: calls.append((g2, *rest)) or distance(g1, g2, *rest))
+        protos = [path(["a", "b", "d"]), path(["a", "c"]), path(["b"])]
+        g = path(["a", "b", "c"])
+        assert model_distance(g, generate_model(protos)) == distance(g, protos[0])
+        assert [c[0] for c in calls] == protos
+        assert [c[2] for c in calls] == [math.inf, distance(g, protos[0]), distance(g, protos[0])]
 
     def test_searches_leave_no_cyclic_garbage(self):
         """Each search frees what it builds by reference counting, also when
@@ -684,6 +692,15 @@ class TestPrototypes:
         assert not is_isomorphic(tri, line) and not is_isomorphic(line, tri)
         assert len(find_prototypes([tri, line, tri])) == 2
 
+    def test_failing_match_trips_the_node_budget(self):
+        """`edges_then_triangle` at eight edges, which takes minutes with no
+        budget: grouping and the isomorphism test stop at the node budget."""
+        tri, line = edges_then_triangle(8)
+        with pytest.raises(BudgetExceeded, match="exceeded 1000 placements"):
+            find_prototypes([tri, line], node_budget=1000)
+        with pytest.raises(BudgetExceeded, match="exceeded 1000 placements"):
+            is_isomorphic(tri, line, node_budget=1000)
+
     def test_frequency_order(self):
         x = path(["a", "b"])
         y = path(["c", "c"])
@@ -781,6 +798,11 @@ class TestLazyBounds:
     def test_empty_prototypes(self):
         with pytest.raises(EmptyInput):
             ObjectModel([]).bounds
+
+    def test_empty_model_document_is_format_error(self):
+        one = json.loads(arg_to_json(path(["a"])))
+        with pytest.raises(FormatError, match="at least one prototype"):
+            model_from_json(json.dumps({"max_csg": one, "min_csg": one, "prototypes": []}))
 
     def test_folded_once(self, monkeypatch):
         calls = []
@@ -914,6 +936,29 @@ class TestArgIds:
         doc = {"vertices": [{"id": 0, "kind": "circle"}, {"id": 1, "kind": "segment"}],
                "edges": [{"from": 1, "to": 0, "conn": "overlap", "dir": "E"}]}
         assert arg_from_json(json.dumps(doc)).edges == ((0, 1, "overlap", "E"),)
+
+
+class TestArgAttributes:
+    """A vertex kind is a JSON string, and an edge's connection and
+    direction are among `CONNECTION_KINDS` and `DIRECTION_BINS`: no other
+    value is turned into a string."""
+
+    @pytest.mark.parametrize("vertex, edge", [
+        ({"kind": 5}, {}), ({"kind": None}, {}), ({}, {"conn": [1]}),
+        ({}, {"conn": "touch"}), ({}, {"dir": "W"}), ({}, {"dir": 0}),
+    ])
+    def test_other_values_are_format_errors(self, vertex, edge):
+        doc = {"vertices": [{"id": 0, "kind": "circle", **vertex}, {"id": 1, "kind": "segment"}],
+               "edges": [{"from": 0, "to": 1, "conn": "overlap", "dir": "E", **edge}]}
+        with pytest.raises(FormatError):
+            arg_from_json(json.dumps(doc))
+
+    def test_every_connection_and_direction_builds(self):
+        for c in CONNECTION_KINDS:
+            for d in DIRECTION_BINS:
+                doc = {"vertices": [{"id": 0, "kind": "circle"}, {"id": 1, "kind": "segment"}],
+                       "edges": [{"from": 0, "to": 1, "conn": c, "dir": d}]}
+                assert arg_from_json(json.dumps(doc)).edges == ((0, 1, c, d),)
 
 
 class TestJsonFuzz:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 from dataclasses import fields, replace
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cartoseg import pipeline
 from cartoseg.pipeline import PipelineConfig, evaluate, run_pipeline
 from cartoseg.raster import BinaryMask
 from cartoseg.synth import SceneSpec, SpecError, corpus_specs, write_corpus
+from oracles import edges_then_triangle
 
 
 def mask_of(bits):
@@ -177,6 +180,18 @@ class TestRunPipeline:
         report = run_pipeline(replace(cfg, out=str(tmp_path / "bounds"), distance_mode="bounds"))
         assert report.models["roundabout"] == {"error": "graph search exceeded 500 nodes"}
         assert sorted(p.name for p in (tmp_path / "bounds").glob("model_*.json")) == ["model_bridge.json"]
+
+    def test_match_over_budget_is_the_kinds_error(self, small_corpus, tmp_path, monkeypatch):
+        """Shapes whose isomorphism test takes minutes with no budget
+        (`edges_then_triangle` at eight edges): grouping them into
+        prototypes stops at the configured node budget, and each kind
+        records the error."""
+        shapes = itertools.cycle(edges_then_triangle(8))
+        monkeypatch.setattr(pipeline, "shape_graph", lambda *args: next(shapes))
+        cfg = PipelineConfig(corpus=str(small_corpus), out=str(tmp_path / "out"), node_budget=1000)
+        report = run_pipeline(cfg)
+        error = {"error": "isomorphism test exceeded 1000 placements"}
+        assert report.models == {"bridge": error, "roundabout": error}
 
     def test_byte_identical_reruns(self, small_corpus, tmp_path):
         out_a = tmp_path / "a"
