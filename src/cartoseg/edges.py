@@ -396,6 +396,8 @@ def to_json(es: EdgeSet) -> str:
 def _read_chain(doc: dict) -> EdgeChain:
     """A document's chain; a closed one reads as the open chain that returns
     to its first point, which draws the same pixels."""
+    if not isinstance(doc["closed"], bool):
+        raise TypeError(f"closed is {doc['closed']!r}, not a boolean")
     chain = EdgeChain(np.array(doc["points"], dtype=np.float64))
     return EdgeChain(np.vstack([chain.points, chain.points[:1]])) if doc["closed"] else chain
 

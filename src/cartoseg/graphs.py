@@ -42,8 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .morph import (_PAIRS, EmptyMask, _label_links, _link_lists, _neighbor_planes, _reduced,
-                    label_components, skeletonize)
+from .morph import EmptyMask, _link_lists, _neighbor_planes, _reduced, skeletonize
 from .raster import DOC_ERRORS, BinaryMask, FormatError
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
@@ -107,35 +106,21 @@ def make_segment(p1: tuple[float, float], p2: tuple[float, float]) -> Primitive:
 _MIN_ARC_PIXELS = 3
 
 
-def _components(labels: np.ndarray, count: int, where: np.ndarray | None = None):
-    """The (ys, xs) of each label 1..count, in row-major order, from one scan
-    of the frame; with `where`, only the labelled pixels where it is True."""
-    ys, xs = np.nonzero(labels if where is None else where & (labels > 0))
-    lab = labels[ys, xs]
-    order = np.argsort(lab, kind="stable")
-    # cut before each label's first pixel, then drop the empty leading piece
-    cuts = np.searchsorted(lab[order], np.arange(1, count + 1))
-    return np.split(np.stack([ys, xs])[:, order], cuts, axis=1)[1:]
-
-
-def _reduced_degree(bits: np.ndarray) -> np.ndarray:
-    """`_reduced` at every pixel of `bits`, 0 off it."""
-    return _reduced(*_neighbor_planes(bits)) * bits
-
-
-def _two_core(bits: np.ndarray) -> np.ndarray:
-    """Pixels on cycles: the 2-core of the pixels under `_shortcut_free`
-    links, peeled from a stack of the pixels of degree below 2, each popped
-    pixel decrementing its neighbours (Batagelj & Zaversnik, 2003).
+def _two_core(nbrs: list[list[int]]) -> list[bool]:
+    """Per pixel of the link graph `nbrs` (`morph._link_lists`), whether it
+    lies on a cycle: the 2-core, peeled from a stack of the pixels of degree
+    below 2, each popped pixel decrementing its neighbours (Batagelj &
+    Zaversnik, 2003).
 
     Stripping a pixel can restore a diagonal link that it blocked, but
     never between two pixels still there: the blocking pixel is
     orthogonally adjacent to both ends of the diagonal, so its degree stays
     at least 2 until one end is stripped.  The links of the input are
     therefore those of every stage of the peel, and the result equals
-    stripping every pixel of reduced degree below 2, pass after pass.
+    stripping every pixel of reduced degree below 2, pass after pass.  So
+    8-adjacent core pixels are joined in the core: its parts under the
+    links are its 8-components.
     """
-    nbrs = _link_lists(bits)
     deg = [len(around) for around in nbrs]
     stack = [p for p, d in enumerate(deg) if d < 2]
     while stack:
@@ -143,9 +128,25 @@ def _two_core(bits: np.ndarray) -> np.ndarray:
             deg[q] -= 1
             if deg[q] == 1:
                 stack.append(q)
-    core = np.zeros(bits.shape, dtype=bool)
-    core.flat[np.flatnonzero(bits)[np.array(deg, dtype=int) >= 2]] = True
-    return core
+    return [d >= 2 for d in deg]
+
+
+def _parts(nbrs: list[list[int]], member: list[bool]) -> list[list[int]]:
+    """The parts of the pixels flagged in `member` under the links `nbrs`, by
+    breadth-first search: sorted pixel numbers, in order of the first pixel."""
+    left = list(member)
+    parts = []
+    for p in range(len(left)):
+        if left[p]:
+            left[p] = False
+            part = [p]
+            for q in part:  # the list grows as it is read
+                for r in nbrs[q]:
+                    if left[r]:
+                        left[r] = False
+                        part.append(r)
+            parts.append(sorted(part))
+    return parts
 
 
 def decompose(mask: BinaryMask, mode: str = "skeleton", resolution: float = 1.0) -> list[Primitive]:
@@ -159,53 +160,37 @@ def decompose(mask: BinaryMask, mode: str = "skeleton", resolution: float = 1.0)
     if mask.is_empty():
         raise EmptyMask("cannot decompose an empty mask")
     skel = skeletonize(mask).bits
+    ys, xs = np.nonzero(skel)  # pixel p of the link graph is (ys[p], xs[p])
+    nbrs = _link_lists(skel)
+    core = _two_core(nbrs)
     prims: list[Primitive] = []
+    for part in _parts(nbrs, core):
+        py, px = ys[part], xs[part]
+        cx, cy = float(px.mean()), float(py.mean())
+        r = float(np.hypot(py - cy, px - cx).mean())
+        prims.append(Primitive("circle", (cx * resolution, cy * resolution), radius=r * resolution))
 
-    core = _two_core(skel)
-    if core.any():
-        for ys, xs in _components(*label_components(core, connectivity=8)):
-            cx, cy = float(xs.mean()), float(ys.mean())
-            r = float(np.hypot(ys - cy, xs - cx).mean())
-            prims.append(
-                Primitive("circle", (cx * resolution, cy * resolution), radius=r * resolution)
-            )
-
-    rest = skel & ~core
-    if rest.any():
-        # split the tree part at branch pixels, keep the resulting arcs
-        arcs = rest & (_reduced_degree(rest) < 3)
-        labels, count = _label_arcs(arcs, skel)
-        # an arc's ends: at most one reduced neighbour in the same arc
-        tips = _reduced(*(p == labels for p in _neighbor_planes(labels))) <= 1
-        for (ys, xs), (ty, tx) in zip(_components(labels, count), _components(labels, count, tips)):
-            if len(ys) < _MIN_ARC_PIXELS:
-                continue
-            if len(ty) == 2:
-                (x1, y1), (x2, y2) = zip(tx, ty)
-            else:
-                (x1, y1), (x2, y2) = _farthest_pair(np.stack([xs, ys], axis=1).astype(float))
-            p1 = (x1 * resolution, y1 * resolution)
-            p2 = (x2 * resolution, y2 * resolution)
-            if p1 != p2:
-                prims.append(make_segment(p1, p2))
+    # split the tree part at branch pixels, counted on the off-cycle pixels
+    # alone, where a core pixel blocks no diagonal: not the link degree
+    off = ~np.array(core, dtype=bool)
+    rest = np.zeros_like(skel)
+    rest[skel] = off
+    arcs = off & (_reduced(*_neighbor_planes(rest))[skel] < 3)
+    for part in _parts(nbrs, arcs.tolist()):
+        if len(part) < _MIN_ARC_PIXELS:
+            continue
+        inside = set(part)
+        # an arc's ends: at most one linked pixel in the same arc
+        ends = [p for p in part if sum(q in inside for q in nbrs[p]) <= 1]
+        if len(ends) == 2:
+            (x1, y1), (x2, y2) = ((xs[p], ys[p]) for p in ends)
+        else:
+            (x1, y1), (x2, y2) = _farthest_pair(np.stack([xs[part], ys[part]], axis=1).astype(float))
+        p1 = (x1 * resolution, y1 * resolution)
+        p2 = (x2 * resolution, y2 * resolution)
+        if p1 != p2:
+            prims.append(make_segment(p1, p2))
     return prims
-
-
-def _label_arcs(arcs: np.ndarray, skel: np.ndarray):
-    """Connected arcs under shortcut-aware adjacency.
-
-    Two diagonal arc pixels whose shared orthogonal pixel belongs to the
-    skeleton (for instance a removed branch pixel) are not neighbors, so
-    arms meeting at a junction stay separate arcs.  The corner that blocks
-    a diagonal is read on the whole skeleton, not on the arcs being linked,
-    so these links are built here and not by `morph._shortcut_free`.
-    """
-    links = [arcs[s] & arcs[t] for s, t in _PAIRS]
-    # the corners of an SE pair are the two pixels of the SW pair, and vice versa
-    (se_a, se_b), (sw_a, sw_b) = _PAIRS[2:]
-    links[2] &= ~(skel[sw_a] | skel[sw_b])
-    links[3] &= ~(skel[se_a] | skel[se_b])
-    return _label_links(arcs, links)
 
 
 def _farthest_pair(pts: np.ndarray) -> np.ndarray:

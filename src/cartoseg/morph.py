@@ -179,27 +179,20 @@ def label_components(bits: np.ndarray, connectivity: int = 8):
     """Connected-component labels (row-major discovery order, from 1).
 
     Returns (labels, count); background stays 0.
+
+    Whole-array union-find (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12,
+    2009) over row runs: a run is a maximal row segment, numbered in
+    row-major order of its first pixel.  Each round hooks every root run to
+    the least root it touches through the other neighbour pairs, each run
+    pair counted once per stretch of pairs, and pointer jumping flattens
+    the trees.  No parent exceeds its run, so each root is the run of its
+    component's first pixel, and numbering the roots in order numbers the
+    components in discovery order.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, not {connectivity!r}")
     bits = np.asarray(bits, dtype=bool)
-    return _label_links(bits, [bits[s] & bits[t] for s, t in _PAIRS[: connectivity // 2]])
-
-
-def _label_links(bits: np.ndarray, links) -> tuple[np.ndarray, int]:
-    """`label_components` with explicit links: ``links[k]``, shaped like the
-    slices of ``_PAIRS[k]``, is True where a pixel of `bits` joins its
-    partner in `bits` in that direction.
-
-    Whole-array union-find (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12,
-    2009) over row runs: a run is a maximal row segment joined by the E
-    links, numbered in row-major order of its first pixel.  Each round
-    hooks every root run to the least root it touches through the other
-    links, each run pair counted once per stretch of links, and pointer
-    jumping flattens the trees.  No parent exceeds its run, so each root is
-    the run of its component's first pixel, and numbering the roots in
-    order numbers the components in discovery order.
-    """
+    links = [bits[s] & bits[t] for s, t in _PAIRS[: connectivity // 2]]
     flat = np.flatnonzero(bits)
     joined = np.zeros(bits.shape, dtype=bool)  # to the west neighbour: starts no run
     joined[:, 1:] = links[0]

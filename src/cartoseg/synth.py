@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,8 @@ import numpy as np
 
 from .graphs import (DEFAULT_ADJACENCY_TOL, Arg, Primitive, arg_from_json, arg_to_doc, build_arg,
                      make_segment)
-from .raster import BinaryMask, MultiSpectralImage, ScalarImage, _bilinear, write_raster
+from .raster import (DOC_ERRORS, BinaryMask, FormatError, MultiSpectralImage, ScalarImage, _bilinear,
+                     write_raster)
 
 KINDS = ("bridge", "roundabout")
 
@@ -355,5 +357,10 @@ def write_corpus(out_dir, specs: list[SceneSpec]) -> dict:
 
 
 def load_truth(path) -> tuple[str, tuple[int, int], Arg]:
+    """A truth file's kind, offset and graph; FormatError for an offset not two integers."""
     doc = json.loads(Path(path).read_text())
-    return doc["kind"], (int(doc["offset"][0]), int(doc["offset"][1])), arg_from_json(doc["arg"])
+    try:
+        dx, dy = map(operator.index, doc["offset"])
+    except DOC_ERRORS as exc:
+        raise FormatError(f"not a truth offset: {type(exc).__name__}: {exc}") from exc
+    return doc["kind"], (dx, dy), arg_from_json(doc["arg"])

@@ -138,35 +138,6 @@ def frame_zhang_suen(bits: np.ndarray) -> np.ndarray:
     return img
 
 
-def bfs_label_links(bits: np.ndarray, links) -> tuple[np.ndarray, int]:
-    """`morph._label_links` as a stack flood fill over explicit links:
-    ``links[k][y, x]`` joins the pixel at (y, x) of the first slice of the
-    k-th pair (E, S, SE, SW) to its partner (y + dy, x + dx)."""
-    steps = [(0, 1), (1, 0), (1, 1), (1, -1)]
-    h, w = bits.shape
-    nbrs = {}
-    for (dy, dx), m in zip(steps, links):
-        for ly, lx in zip(*np.nonzero(m)):
-            y, x = int(ly), int(lx) + (dx < 0)  # the SW slice starts at column 1
-            nbrs.setdefault((y, x), []).append((y + dy, x + dx))
-            nbrs.setdefault((y + dy, x + dx), []).append((y, x))
-    labels = np.zeros((h, w), dtype=np.int32)
-    count = 0
-    for sy in range(h):
-        for sx in range(w):
-            if not bits[sy, sx] or labels[sy, sx]:
-                continue
-            count += 1
-            labels[sy, sx] = count
-            stack = [(sy, sx)]
-            while stack:
-                for ny, nx in nbrs.get(stack.pop(), []):
-                    if not labels[ny, nx]:
-                        labels[ny, nx] = count
-                        stack.append((ny, nx))
-    return labels, count
-
-
 # ---------------------------------------------------------------------------
 # hysteresis
 # ---------------------------------------------------------------------------
@@ -220,8 +191,8 @@ def loop_keep_central(bits: np.ndarray, window: int) -> np.ndarray:
 
 
 def bfs_label_arcs(arcs: np.ndarray, skel: np.ndarray):
-    """`graphs._label_arcs` as a stack flood fill: a diagonal step is cut
-    where either orthogonal corner pixel is in `skel`."""
+    """Arc labels by a stack flood fill through 8-neighbours in `arcs`: a
+    diagonal step is cut where either orthogonal corner pixel is in `skel`."""
     h, w = arcs.shape
     labels = np.zeros((h, w), dtype=np.int32)
     count = 0
@@ -977,13 +948,6 @@ def list_mcs_mapping(g1, g2, node_budget: int):
     return [pairs[i] for i in best], nodes
 
 
-def _loop_arc_endpoints(bits: np.ndarray):
-    from cartoseg.graphs import _reduced_degree
-
-    ys, xs = np.nonzero(bits & (_reduced_degree(bits) <= 1))
-    return [(float(x), float(y)) for y, x in zip(ys, xs)]
-
-
 def loop_farthest_pair(pts):
     """The first pair (i < j) at the largest distance, by a double loop."""
     best = (pts[0], pts[0])
@@ -998,39 +962,41 @@ def loop_farthest_pair(pts):
 
 
 def loop_decompose(mask, resolution: float):
-    """`decompose` with one full-frame `labels == lab` scan per component
-    and arc ends from each arc's own reduced degree."""
-    from cartoseg.graphs import _MIN_ARC_PIXELS, Primitive, _label_arcs, _reduced_degree, _two_core, make_segment
-    from cartoseg.morph import label_components, skeletonize
+    """`decompose` from the oracles alone: the core by full-frame passes,
+    circles from its flood-filled 8-components, the branch cut and the arc
+    ends from per-pixel counts, one full-frame `labels == lab` scan per
+    component."""
+    from cartoseg.graphs import _MIN_ARC_PIXELS, Primitive, make_segment
+    from cartoseg.morph import skeletonize
 
     skel = skeletonize(mask).bits
     prims = []
-    core = _two_core(skel)
-    if core.any():
-        labels, count = label_components(core, connectivity=8)
-        for lab in range(1, count + 1):
-            ys, xs = np.nonzero(labels == lab)
-            cx, cy = float(xs.mean()), float(ys.mean())
-            r = float(np.hypot(ys - cy, xs - cx).mean())
-            prims.append(
-                Primitive("circle", (cx * resolution, cy * resolution), radius=r * resolution)
-            )
+    core = pass_two_core(skel)
+    labels, count = bfs_label_components(core, 8)
+    for lab in range(1, count + 1):
+        ys, xs = np.nonzero(labels == lab)
+        cx, cy = float(xs.mean()), float(ys.mean())
+        r = float(np.hypot(ys - cy, xs - cx).mean())
+        prims.append(
+            Primitive("circle", (cx * resolution, cy * resolution), radius=r * resolution)
+        )
     rest = skel & ~core
-    if rest.any():
-        arcs = rest & (_reduced_degree(rest) < 3)
-        labels, count = _label_arcs(arcs, skel)
-        for lab in range(1, count + 1):
-            ys, xs = np.nonzero(labels == lab)
-            if len(ys) < _MIN_ARC_PIXELS:
-                continue
-            pix = list(zip(xs.astype(float), ys.astype(float)))
-            ends = _loop_arc_endpoints(labels == lab)
-            if len(ends) != 2:
-                ends = loop_farthest_pair(pix)
-            p1 = (ends[0][0] * resolution, ends[0][1] * resolution)
-            p2 = (ends[1][0] * resolution, ends[1][1] * resolution)
-            if p1 != p2:
-                prims.append(make_segment(p1, p2))
+    arcs = rest & (pointwise_reduced_degree(rest) < 3)
+    labels, count = bfs_label_arcs(arcs, skel)
+    for lab in range(1, count + 1):
+        ys, xs = np.nonzero(labels == lab)
+        if len(ys) < _MIN_ARC_PIXELS:
+            continue
+        pix = list(zip(xs.astype(float), ys.astype(float)))
+        arc = labels == lab
+        ey, ex = np.nonzero(arc & (pointwise_reduced_degree(arc) <= 1))
+        ends = [(float(x), float(y)) for x, y in zip(ex, ey)]
+        if len(ends) != 2:
+            ends = loop_farthest_pair(pix)
+        p1 = (ends[0][0] * resolution, ends[0][1] * resolution)
+        p2 = (ends[1][0] * resolution, ends[1][1] * resolution)
+        if p1 != p2:
+            prims.append(make_segment(p1, p2))
     return prims
 
 

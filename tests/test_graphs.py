@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cartoseg import edges, graphs
@@ -35,17 +35,14 @@ from cartoseg.graphs import (
     model_to_json,
     _association,
     _farthest_pair,
-    _label_arcs,
     _matches,
     _mcs_mapping,
-    _reduced_degree,
     _two_core,
 )
-from cartoseg.morph import EmptyMask, skeletonize
+from cartoseg.morph import EmptyMask, _link_lists, _neighbor_planes, _reduced, skeletonize
 from cartoseg.pipeline import PipelineConfig
 from cartoseg.raster import BinaryMask, FormatError
 from oracles import (
-    bfs_label_arcs,
     brute_isomorphic,
     brute_mcs_size,
     can_embed,
@@ -198,16 +195,48 @@ def decompose_masks(draw):
     return bits
 
 
+# The branch cut counts neighbours on the off-cycle pixels alone.  The pixel
+# at row 1, column 2 is off the cycle, and links to the two pixels above it,
+# but the core pixel below it blocks its diagonal to row 2, column 1; among
+# the off-cycle pixels nothing blocks it, so it counts three neighbours and
+# is cut.  On its two links it would stay, joining the two pixels of row 0
+# into an arc
+BRANCH_CUT_MASK = np.array([[c == "#" for c in row] for row in (
+    ".#.#.",
+    "..#..",
+    ".###.",
+    "#.#.#",
+    "...#.",
+)])
+
+
+def core_plane(bits):
+    """`_two_core` of the link graph of `bits`, as a frame."""
+    core = np.zeros_like(bits)
+    core[bits] = _two_core(_link_lists(bits))
+    return core
+
+
 class TestDecomposeOracle:
     @settings(max_examples=400, deadline=None)
     @given(decompose_masks(), st.sampled_from((1.0, 2.5)))
+    @example(BRANCH_CUT_MASK, 1.0)
     def test_equals_per_label_loops(self, bits, resolution):
-        """One pass over each component gives the primitives, in the order,
-        that one full-frame scan per label gave."""
+        """The link-graph passes give the primitives, in the order, that
+        full-frame passes, flood fills and per-pixel counts give."""
         if not bits.any():
             return
         mask = BinaryMask(bits)
         assert decompose(mask, resolution=resolution) == loop_decompose(mask, resolution)
+
+    def test_branch_cut_counts_off_cycle_pixels(self):
+        """The mask is its own skeleton and decomposes to its one cycle: a
+        cut on the link degree would also keep a segment (1, 0)-(3, 0)."""
+        mask = BinaryMask(BRANCH_CUT_MASK)
+        assert np.array_equal(skeletonize(mask).bits, BRANCH_CUT_MASK)
+        (circle,) = decompose(mask)
+        assert circle.kind == "circle"
+        assert circle.center == pytest.approx((2.8, 2.8))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=40,
@@ -219,26 +248,15 @@ class TestDecomposeOracle:
             [(float(x), float(y)) for x, y in pts])
 
 
-class TestLabelArcsOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
-        lambda shape: st.tuples(arrays(bool, shape, fill=st.nothing()),
-                                arrays(bool, shape, fill=st.nothing()))))
-    def test_equals_bfs(self, masks):
-        """Skeleton pixels off the arcs cut the diagonal steps they flank."""
-        arcs, extra = masks
-        labels, count = _label_arcs(arcs, arcs | extra)
-        want, want_count = bfs_label_arcs(arcs, arcs | extra)
-        assert count == want_count
-        assert np.array_equal(labels, want)
-
-
 class TestReducedDegreeOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
         lambda shape: arrays(bool, shape, fill=st.nothing())))
     def test_equals_per_pixel_count(self, bits):
-        assert np.array_equal(_reduced_degree(bits), pointwise_reduced_degree(bits))
+        """The branch cut's count, and on the whole frame the link degree."""
+        want = pointwise_reduced_degree(bits)[bits]
+        assert np.array_equal(_reduced(*_neighbor_planes(bits))[bits], want)
+        assert [len(around) for around in _link_lists(bits)] == want.tolist()
 
 
 class TestTwoCoreOracle:
@@ -250,9 +268,7 @@ class TestTwoCoreOracle:
         and pass."""
         if thin and bits.any():
             bits = skeletonize(BinaryMask(bits)).bits
-        got = _two_core(bits)
-        assert got.dtype == bool
-        assert np.array_equal(got, pass_two_core(bits))
+        assert np.array_equal(core_plane(bits), pass_two_core(bits))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -260,7 +276,7 @@ class TestTwoCoreOracle:
         """Skeletons of 64x64 connected polylines, whose arms take the pass
         loop dozens of passes to strip."""
         skel = skeletonize(BinaryMask(random_polyline_mask(np.random.default_rng(seed)))).bits
-        assert np.array_equal(_two_core(skel), pass_two_core(skel))
+        assert np.array_equal(core_plane(skel), pass_two_core(skel))
 
 
 class TestBuildArg:
@@ -959,6 +975,17 @@ class TestArgAttributes:
                 doc = {"vertices": [{"id": 0, "kind": "circle"}, {"id": 1, "kind": "segment"}],
                        "edges": [{"from": 0, "to": 1, "conn": c, "dir": d}]}
                 assert arg_from_json(json.dumps(doc)).edges == ((0, 1, c, d),)
+
+
+class TestEdgeChainClosed:
+    """A chain's `closed` is a JSON boolean: no other value reads as one."""
+
+    @pytest.mark.parametrize("closed", ['"no"', "0.0", "1", "null", "[]"])
+    def test_other_values_are_format_errors(self, closed):
+        text = ('{"width": 8, "height": 8, "chains": [{"closed": %s, '
+                '"points": [[1, 1], [4, 1], [4, 4]]}]}' % closed)
+        with pytest.raises(FormatError, match="closed"):
+            edges.from_json(text)
 
 
 class TestJsonFuzz:

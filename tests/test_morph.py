@@ -4,10 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cartoseg.morph import (
-    _PAIRS,
     EmptyMask,
     StructuringElement,
-    _label_links,
     dilate,
     external_boundary,
     label_components,
@@ -16,7 +14,6 @@ from cartoseg.morph import (
 from cartoseg.raster import BinaryMask
 from oracles import (
     bfs_label_components,
-    bfs_label_links,
     disk_offsets,
     frame_zhang_suen,
     naive_dilate,
@@ -231,28 +228,4 @@ class TestLabelComponents:
         want, want_count = bfs_label_components(bits, connectivity)
         assert count == want_count
         assert labels.dtype == np.int32
-        assert np.array_equal(labels, want)
-
-
-@st.composite
-def linked_frames(draw):
-    """A frame up to 12x12 and, per direction of `_PAIRS`, links between
-    foreground pairs kept at random, so runs break and rejoin anywhere."""
-    shape = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
-    bits = draw(arrays(bool, shape, fill=st.nothing()))
-    links = []
-    for s, t in _PAIRS:
-        keep = draw(arrays(bool, bits[s].shape, fill=st.nothing()))
-        links.append(bits[s] & bits[t] & keep)
-    return bits, links
-
-
-class TestLabelLinks:
-    @settings(max_examples=300, deadline=None)
-    @given(linked_frames())
-    def test_equals_bfs_over_links(self, case):
-        bits, links = case
-        labels, count = _label_links(bits, links)
-        want, want_count = bfs_label_links(bits, links)
-        assert count == want_count
         assert np.array_equal(labels, want)

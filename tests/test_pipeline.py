@@ -161,6 +161,25 @@ class TestRunPipeline:
         kind = failed[0]["kind"]
         assert report.aggregate["extract"][kind]["incorrect"] >= 1
 
+    @pytest.mark.parametrize("offset", [[1.7, "3"], [1, 2, 3]])
+    def test_malformed_truth_offset_is_scene_load_error(self, small_corpus, tmp_path, offset):
+        """An offset that is not exactly two integers is not rounded or cut:
+        its scene records the load error, and the others run."""
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(small_corpus, broken)
+        path = broken / "scene_001_truth.json"
+        doc = json.loads(path.read_text())
+        doc["offset"] = offset
+        path.write_text(json.dumps(doc))
+        report = run_pipeline(PipelineConfig(corpus=str(broken), out=str(tmp_path / "out")))
+        failed = [s for s in report.scenes if "error" in s]
+        assert [s["id"] for s in failed] == ["scene_001"]
+        assert failed[0]["failed_stage"] == "load"
+        assert failed[0]["error"].startswith("load failed: not a truth offset")
+        assert sum("error" not in s for s in report.scenes) == 3
+
     def test_fold_over_budget_keeps_the_distances(self, tmp_path):
         """At 500 nodes the roundabout fold trips and its prototype distances
         do not: the kind keeps its prototypes and distances and records the

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cartoseg.graphs import decompose, graph_distance
 from cartoseg.pipeline import PipelineConfig, shape_graph
-from cartoseg.raster import read_mask, read_raster, translate
+from cartoseg.raster import FormatError, read_mask, read_raster, translate
 from cartoseg.spectral import band_combine
 from cartoseg.synth import (
     _RIVER_WIDTH_M,
@@ -339,6 +339,16 @@ class TestCorpus:
         with pytest.raises(SpecError):
             corpus_specs(2, -1)
         assert corpus_specs(0, 0) == []
+
+    @pytest.mark.parametrize("offset", [[1.7, "3"], [1, 2, 3], [1], [1.0, 2], None, "12"])
+    def test_truth_offset_is_two_integers(self, tmp_path, offset):
+        write_corpus(tmp_path, corpus_specs(1, 0, seed=3))
+        path = tmp_path / "scene_000_truth.json"
+        doc = json.loads(path.read_text())
+        doc["offset"] = offset
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="offset"):
+            load_truth(path)
 
     def test_write_corpus_files_and_manifest(self, tmp_path):
         specs = corpus_specs(1, 1, seed=3)
