@@ -113,16 +113,8 @@ def _read_edges(path, pan) -> EdgeSet:
 
 def _cmd_match(a) -> int:
     mask = read_mask(a.mask)
-    pan = read_raster(a.pan)
-    es = _read_edges(a.edges, pan)
-    result = place_mask(mask, es, pan, _config(a))
-    doc = {
-        "offset": list(result.offset),
-        "score": result.score,
-        "variance": result.variance,
-        "tie_count": result.tie_count,
-        "warning": result.warning,
-    }
+    result = place_mask(mask, read_raster(a.pan), _config(a))
+    doc = {"offset": list(result.offset), "score": result.score, "tie_count": result.tie_count}
     text = json.dumps(doc, sort_keys=True)
     if a.out:
         Path(a.out).write_text(text)
@@ -225,7 +217,6 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("match", help="best integer offset of a mask on the pan image")
     s.add_argument("--mask", required=True)
     s.add_argument("--pan", required=True)
-    s.add_argument("--edges", required=True)
     s.add_argument("--out")
     _add_config_flags(s)
     s.set_defaults(func=_cmd_match)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .morph import _link_lists, _neighbor_planes
-from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage
+from .raster import DOC_ERRORS, BinaryMask, FormatError, ScalarImage, doc_int
 from .spectral import _grow8
 
 # quantized gradient sectors -> (dy, dx) step along the gradient; sector k
@@ -409,7 +408,7 @@ def from_json(text: str) -> EdgeSet:
     try:
         doc = json.loads(text)
         chains = [_read_chain(c) for c in doc["chains"]]
-        es = EdgeSet(chains, operator.index(doc["width"]), operator.index(doc["height"]))
+        es = EdgeSet(chains, doc_int(doc["width"]), doc_int(doc["height"]))
         if min(es.width, es.height) < 1:
             raise ValueError("the frame is smaller than one pixel")
         _bounded_points(es)

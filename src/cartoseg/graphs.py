@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .morph import EmptyMask, _link_lists, _neighbor_planes, _reduced, skeletonize
-from .raster import DOC_ERRORS, BinaryMask, FormatError
+from .raster import DOC_ERRORS, BinaryMask, FormatError, doc_int
 
 DIRECTION_BINS = ("E", "NE", "N", "SE")
 CONNECTION_KINDS = ("end-to-end", "end-to-side", "overlap")
@@ -331,9 +330,9 @@ def arg_from_json(text: str) -> Arg:
     FormatError for any document that does not describe a valid one."""
     try:
         doc = json.loads(text) if isinstance(text, str) else text
-        verts = [(operator.index(v["id"]), _text(v["kind"])) for v in doc["vertices"]]
+        verts = [(doc_int(v["id"]), _text(v["kind"])) for v in doc["vertices"]]
         edges = [
-            (operator.index(e["from"]), operator.index(e["to"]),
+            (doc_int(e["from"]), doc_int(e["to"]),
              _text(e["conn"], CONNECTION_KINDS), _text(e["dir"], DIRECTION_BINS))
             for e in doc["edges"]
         ]

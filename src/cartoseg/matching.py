@@ -1,61 +1,88 @@
 """Exhaustive integer-offset placement of a candidate mask on the
 panchromatic image.
 
-Every offset inside the search window is scored by the number of edge
-pixels that the dilated, translated mask contains.  Equal scores fall back
-to the gray-value variance under the (undilated) mask, then to the
-lexicographically smallest (dy, dx).
+Every offset d in the search window scores how well the mask's rim normals
+line up with the pan gradient, |sum_p N(p - d) . G(p)| (after Borgefors, IEEE
+PAMI 10(6), 1988, and Steger, DAGM 2001).  N = grad(g_sigma * mask), the mask
+zero outside the frame; G = grad(g_sigma * pan), the pan extended past the
+frame by its own mean, so the border adds no gradient.  No edge set or
+threshold is read, so a faint object limit still places, and the absolute
+value takes no side on which of object and background is brighter.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .edges import EdgeSet, rasterize
-from .morph import EmptyMask, StructuringElement, dilate
-from .raster import BinaryMask, ScalarImage, translate
+from .edges import _gaussian_blur, _sobel_pair
+from .morph import EmptyMask
+from .raster import BinaryMask, ScalarImage
 
-log = logging.getLogger(__name__)
-
-# one-pixel margin: boundary edge lines sit exactly on the dilated mask rim,
-# so every one-pixel shift drops a full edge line and the score peak is sharp
-DEFAULT_ELEMENT = StructuringElement("disk", 1)
+# scores within this fraction of the best one tie
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class MatchResult:
     offset: tuple[int, int]  # (dx, dy)
-    score: int
-    variance: float
+    score: float
     tie_count: int
-    warning: str | None = None
 
 
-def _masked_variance(pan: np.ndarray, mask: BinaryMask, dx: int, dy: int) -> float:
-    """Variance of `pan` under `mask` translated by (dx, dy); inf when no
-    pixel of the mask stays in the frame."""
-    values = pan[translate(mask, dx, dy).bits]
-    if values.size == 0:
-        return math.inf
-    return float(np.var(values))
+def _radius(sigma: float) -> int:
+    """How far the gradient filter S B reaches: B = `_gaussian_blur`'s
+    radius plus the one pixel of S = `_sobel_pair`."""
+    return max(1, math.ceil(3.0 * sigma)) + 1
+
+
+@lru_cache(maxsize=8)  # one per frame size and sigma, which a corpus shares
+def _kernel_spectrum(sigma: float, shape: tuple[int, int]) -> np.ndarray:
+    """Spectrum of (S B)^T (S B) on an FFT grid of ``shape``: the power
+    spectrum of S B's impulse response, summed over x and y; read-only.
+
+    The impulse lies as far from the patch border as S B reaches, so both
+    steps' edge padding reads zeros and the patch holds the whole response.
+    """
+    r = _radius(sigma)
+    delta = np.zeros((2 * r + 1, 2 * r + 1))
+    delta[r, r] = 1.0
+    power = sum(np.abs(np.fft.rfft2(k, shape)) ** 2 for k in _sobel_pair(_gaussian_blur(delta, sigma)))
+    power.flags.writeable = False
+    return power
+
+
+def _scores(bits: np.ndarray, pan: np.ndarray, hw: int, sigma: float) -> np.ndarray:
+    """The score of every offset with |dy|, |dx| <= hw, at [dy + hw, dx + hw].
+
+    The sum is the correlation of (pan - mean), zero outside the frame, with
+    the mask under (S B)^T (S B), so one product of spectra gives them all.
+    """
+    # along an axis of n pixels the two fields overlap only at lags |d| <=
+    # n - 1 + reach; a circular lag |d| <= hw also sums the lags d +/- m, and
+    # m >= n + hw + reach puts those past every overlap, so they add 0
+    reach = 2 * _radius(sigma)
+    shape = tuple(-(-(n + hw + reach) // 32) * 32 for n in pan.shape)
+    f = pan.astype(np.float64)
+    # clipped, so that a flat pan centres to exact zeros whatever its mean rounds to
+    mean = np.clip(f.mean(), f.min(), f.max())
+    spectrum = np.fft.rfft2(f - mean, shape) * np.conj(np.fft.rfft2(bits, shape))
+    corr = np.fft.irfft2(spectrum * _kernel_spectrum(sigma, shape), shape)
+    lags = np.arange(-hw, hw + 1)
+    return np.abs(corr[np.ix_(lags % shape[0], lags % shape[1])])
 
 
 def match_mask(
-    mask: BinaryMask,
-    edges: EdgeSet,
-    pan: ScalarImage,
-    half_window: int = 10,
-    se: StructuringElement = DEFAULT_ELEMENT,
+    mask: BinaryMask, pan: ScalarImage, half_window: int = 10, sigma: float = 1.2
 ) -> MatchResult:
     """Best translation of ``mask`` within +/- ``half_window`` pixels.
 
-    The mask is dilated once so that a correctly placed mask is slightly
-    bigger than the object and captures its boundary edges.  The variance
-    tie-break is computed on the undilated mask.
+    Scores within TIE_TOLERANCE of the best tie.  Among them the offset
+    nearest (0, 0) wins, then the smallest (dy, dx), so a pan with no
+    gradient, which scores 0 everywhere, places at (0, 0).
     """
     if mask.is_empty():
         raise EmptyMask("cannot match an empty mask")
@@ -64,36 +91,12 @@ def match_mask(
     hw = int(half_window)
     if hw < 0:
         raise ValueError("half_window must be non-negative")
-    # an offset of a frame or more scores 0, while an offset that lays a mask
-    # pixel on an edge pixel lies within this bound and scores at least 1, so
-    # cutting the window here keeps every candidate
-    hw = min(hw, max(pan.height, pan.width) - 1)
-    edge_bits = rasterize(EdgeSet(edges.chains, pan.width, pan.height)).bits
-    pan_data = pan.data.astype(np.float64)
-    if not edge_bits.any():
-        log.warning("empty edge set: returning the null offset")
-        return MatchResult(
-            offset=(0, 0),
-            score=0,
-            variance=_masked_variance(pan_data, mask, 0, 0),
-            tie_count=0,
-            warning="empty edge set",
-        )
-    # the score of (dx, dy) counts edge pixels (y, x) with the dilated mask
-    # set at (y - dy, x - dx); padding by hw keeps every such index inside
-    padded = np.pad(dilate(mask, se).bits, hw)
-    ey, ex = np.nonzero(edge_bits)
-    cols = ex - np.arange(-hw, hw + 1)[:, None] + hw  # one row per dx
-    scores = np.stack([
-        np.count_nonzero(padded[ey - dy + hw, cols], axis=1) for dy in range(-hw, hw + 1)
-    ])  # scores[dy + hw, dx + hw]
-    best_score = int(scores.max())
-    candidates = (np.argwhere(scores == best_score) - hw).tolist()  # ascending (dy, dx)
-
-    best = None
-    best_var = math.inf
-    for dy, dx in candidates:
-        v = _masked_variance(pan_data, mask, dx, dy)
-        if best is None or v < best_var:
-            best, best_var = (dx, dy), v
-    return MatchResult(offset=best, score=best_score, variance=best_var, tie_count=len(candidates))
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    # past a frame plus the filter's reach the fields no longer overlap, so
+    # every further offset scores 0 and loses to the nearer zeros inside
+    hw = min(hw, max(pan.height, pan.width) - 1 + 2 * _radius(sigma))
+    scores = _scores(mask.bits, pan.data, hw, sigma)
+    tied = (np.argwhere(scores >= scores.max() * (1 - TIE_TOLERANCE)) - hw).tolist()
+    dy, dx = min(tied, key=lambda d: (d[0] ** 2 + d[1] ** 2, d))
+    return MatchResult((dx, dy), float(scores[dy + hw, dx + hw]), len(tied))

@@ -69,7 +69,6 @@ _RANGES = {
     "merge_dist": (0, math.inf, True),
     "min_edge_len": (0, math.inf, True),
     "half_window": (0, math.inf, True),
-    "match_se_radius": (1, math.inf, True),
     "boundary_se_radius": (1, math.inf, True),
     "adjacency_tol": (0, math.inf, True),
     "min_support": (1, math.inf, True),
@@ -101,7 +100,6 @@ class PipelineConfig:
     merge_dist: float = 3.0
     min_edge_len: float = 10.0
     half_window: int = 10
-    match_se_radius: int = 1
     boundary_se_radius: int = 2
     decompose_mode: str = "skeleton"
     adjacency_tol: float = graphs.DEFAULT_ADJACENCY_TOL
@@ -305,13 +303,9 @@ def detect_edges(pan: ScalarImage, cfg: PipelineConfig) -> EdgeSet:
     )
 
 
-def place_mask(
-    mask: BinaryMask, es: EdgeSet, pan: ScalarImage, cfg: PipelineConfig
-) -> MatchResult:
-    """Offset of the candidate mask that best fits the edge chains."""
-    return match_mask(
-        mask, es, pan, cfg.half_window, StructuringElement("disk", cfg.match_se_radius)
-    )
+def place_mask(mask: BinaryMask, pan: ScalarImage, cfg: PipelineConfig) -> MatchResult:
+    """Offset of the candidate mask whose rim best fits the pan gradient."""
+    return match_mask(mask, pan, cfg.half_window, cfg.canny_sigma)
 
 
 def extract_scene(
@@ -388,15 +382,11 @@ def run_scene(
     es = detect_edges(pan, cfg)
     if saving:
         (out_dir / f"{sid}_edges.json").write_text(edges_to_json(es))
-    result = place_mask(mask, es, pan, cfg)
+    result = place_mask(mask, pan, cfg)
     matched = translate(mask, *result.offset)
-    score(
-        "match",
-        matched,
-        offset=list(result.offset),
-        score=result.score,
-        tie_count=result.tie_count,
-    )
+    # six significant digits, so the report does not carry the FFT's last bits
+    score("match", matched, offset=list(result.offset), score=float(f"{result.score:.6g}"),
+          tie_count=result.tie_count)
     save(matched, "matched")
     if matched.is_empty():
         return fail("matched mask left the frame", "extract")

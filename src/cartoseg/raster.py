@@ -10,6 +10,7 @@ operation returns a new object instead of mutating in place.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,14 @@ class FormatError(Exception):
 
 # what building an object from a malformed JSON document can raise
 DOC_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
+
+def doc_int(value) -> int:
+    """An integer field of a JSON document; TypeError for anything else,
+    booleans included, which `operator.index` would read as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not an integer")
+    return operator.index(value)
 
 
 class ClipTooLarge(Exception):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,7 @@ import numpy as np
 from .graphs import (DEFAULT_ADJACENCY_TOL, Arg, Primitive, arg_from_json, arg_to_doc, build_arg,
                      make_segment)
 from .raster import (DOC_ERRORS, BinaryMask, FormatError, MultiSpectralImage, ScalarImage, _bilinear,
-                     write_raster)
+                     doc_int, write_raster)
 
 KINDS = ("bridge", "roundabout")
 
@@ -360,7 +359,7 @@ def load_truth(path) -> tuple[str, tuple[int, int], Arg]:
     """A truth file's kind, offset and graph; FormatError for an offset not two integers."""
     doc = json.loads(Path(path).read_text())
     try:
-        dx, dy = map(operator.index, doc["offset"])
+        dx, dy = map(doc_int, doc["offset"])
     except DOC_ERRORS as exc:
         raise FormatError(f"not a truth offset: {type(exc).__name__}: {exc}") from exc
     return doc["kind"], (dx, dy), arg_from_json(doc["arg"])

@@ -488,36 +488,61 @@ def dense_merge_chains(chains, merge_dist: float) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def naive_match_scores(
-    edge_bits: np.ndarray, dilated: np.ndarray, half_window: int
+def _full_convolution(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """f convolved with kernel, f read as zero outside its frame; the result
+    grows by the kernel's radius on every side."""
+    kh, kw = kernel.shape
+    h, w = f.shape
+    out = np.zeros((h + kh - 1, w + kw - 1))
+    for i in range(kh):
+        for j in range(kw):
+            out[i : i + h, j : j + w] += kernel[i, j] * f
+    return out
+
+
+def _gradient_field(f: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel x and y of the Gaussian-blurred f, all zero-padded convolutions;
+    the result grows by radius + 1 on every side."""
+    radius = max(1, math.ceil(3.0 * sigma))
+    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    g = np.exp(-0.5 * (xs / sigma) ** 2)
+    g /= g.sum()
+    blurred = _full_convolution(_full_convolution(f, g[None, :]), g[:, None])
+    sobel_x = np.outer([1.0, 2.0, 1.0], [1.0, 0.0, -1.0])
+    return _full_convolution(blurred, sobel_x), _full_convolution(blurred, sobel_x.T)
+
+
+def direct_match_scores(
+    mask: np.ndarray, pan: np.ndarray, half_window: int, sigma: float = 1.2
 ) -> dict:
-    """Score per offset by looping over edge pixels and testing membership."""
-    h, w = edge_bits.shape
-    edge_pixels = [(y, x) for y in range(h) for x in range(w) if edge_bits[y, x]]
+    """|sum_p N(p - d) . G(p)| per offset d = (dx, dy), |dx|, |dy| <= half_window,
+    summed directly over the pixels of two canvases.
+
+    The canvas margin keeps every shifted N inside the canvas.
+    """
+    h, w = pan.shape
+    r = max(1, math.ceil(3.0 * sigma)) + 1
+    pad = half_window + 2 * r + 1
+    canvas = np.zeros((h + 2 * pad, w + 2 * pad))
+    # the pan extended past its frame by its own mean, less that mean, which
+    # has no gradient: so a flat pan scores exactly 0
+    canvas[pad : pad + h, pad : pad + w] = pan - np.mean(pan)
+    rim = np.zeros_like(canvas)
+    rim[pad : pad + h, pad : pad + w] = mask
+    gx, gy = _gradient_field(canvas, sigma)
+    nx, ny = _gradient_field(rim, sigma)
+    # N is zero outside the mask's frame grown by r, a box that starts at pad
+    # in both padded arrays
+    y0, x0, bh, bw = pad, pad, h + 2 * r, w + 2 * r
     scores = {}
     for dy in range(-half_window, half_window + 1):
         for dx in range(-half_window, half_window + 1):
-            s = 0
-            for y, x in edge_pixels:
-                sy, sx = y - dy, x - dx
-                if 0 <= sy < h and 0 <= sx < w and dilated[sy, sx]:
-                    s += 1
-            scores[(dx, dy)] = s
+            total = 0.0
+            for n, g in ((nx, gx), (ny, gy)):
+                window = g[y0 + dy : y0 + dy + bh, x0 + dx : x0 + dx + bw]
+                total += float(np.sum(n[y0 : y0 + bh, x0 : x0 + bw] * window))
+            scores[(dx, dy)] = abs(total)
     return scores
-
-
-def naive_masked_variance(pan: np.ndarray, mask: np.ndarray, dx: int, dy: int) -> float:
-    h, w = pan.shape
-    vals = []
-    for y in range(h):
-        for x in range(w):
-            sy, sx = y - dy, x - dx
-            if 0 <= sy < h and 0 <= sx < w and mask[sy, sx]:
-                vals.append(float(pan[y, x]))
-    if not vals:
-        return math.inf
-    m = sum(vals) / len(vals)
-    return sum((v - m) ** 2 for v in vals) / len(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cartoseg.edges import canny, refine_edges
 from cartoseg.graphs import (
     Arg,
     find_prototypes,
@@ -115,8 +114,7 @@ def _match_run(noise, n=50):
         spec = SceneSpec(kind=kind, offset=off, seed=30000 + i, noise=noise, main_angle=angle)
         pan, _, _ = generate_scene(spec)
         _, _, truth0 = generate_scene(replace(spec, offset=(0, 0)))
-        es = refine_edges(canny(pan, high_percentile=95.0))
-        res = match_mask(truth0.mask, es, pan)
+        res = match_mask(truth0.mask, pan)
         err = max(abs(res.offset[0] - off[0]), abs(res.offset[1] - off[1]))
         exact += err == 0
         within1 += err <= 1

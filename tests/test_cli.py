@@ -114,8 +114,8 @@ class TestExitCodes:
          ("node_budget", "-5")],
     )
     def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir, key, raw):
-        """Keys the pipeline no longer has (se_shape, threshold_source,
-        prune_spurs, build_models) fail as unknown flags."""
+        """Keys the pipeline no longer has (se_shape, match_se_radius,
+        threshold_source, prune_spurs, build_models) fail as unknown flags."""
         rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
                    f"--{key}", raw])
         assert rc == 1
@@ -157,8 +157,9 @@ class TestExitCodes:
         for name, doc in {**good, flag: text}.items():
             (tmp_path / f"{name[2:]}.json").write_text(doc)
         bad = str(tmp_path / f"{flag[2:]}.json")
-        argv = (["match", "--mask", str(corpus_dir / entry["files"]["truth_mask"]),
-                 "--pan", str(corpus_dir / entry["files"]["pan"]), "--edges", bad]
+        argv = (["extract", "--mask", str(corpus_dir / entry["files"]["truth_mask"]),
+                 "--pan", str(corpus_dir / entry["files"]["pan"]), "--edges", bad,
+                 "--out", str(tmp_path / "out")]
                 if flag == "--edges" else
                 ["score", "--model", str(tmp_path / "model.json"),
                  "--arg", str(tmp_path / "arg.json")])
@@ -175,16 +176,17 @@ class TestExitCodes:
                          f'"points": [[{point}, 1.0], [2.0, 1.0]]}}]}}')
         src = str(Path(cartoseg.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-m", "cartoseg.cli", "match",
+            [sys.executable, "-m", "cartoseg.cli", "extract",
              "--mask", str(corpus_dir / entry["files"]["truth_mask"]),
-             "--pan", str(corpus_dir / entry["files"]["pan"]), "--edges", str(edges)],
+             "--pan", str(corpus_dir / entry["files"]["pan"]), "--edges", str(edges),
+             "--out", str(tmp_path / "out")],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.returncode == 2
         assert done.stderr.startswith("error: not an edge set")
 
-    @pytest.mark.parametrize("command", ["match", "extract"])
+    @pytest.mark.parametrize("command", ["extract"])
     def test_edge_frame_mismatch_is_two(self, tmp_path, corpus_dir, command, capsys):
         """The chains are drawn on the pan, so the edge file must declare its frame."""
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
@@ -246,8 +248,7 @@ class TestStageCommands:
         mask_path = tmp_path / "mask.pgm"
         write_raster(truth0.mask, mask_path)
         capsys.readouterr()
-        rc = main(["match", "--mask", str(mask_path), "--pan", str(pan_path),
-                   "--edges", str(edges_path)])
+        rc = main(["match", "--mask", str(mask_path), "--pan", str(pan_path)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["offset"] == entry["offset"]
@@ -282,8 +283,7 @@ class TestStageCommands:
         assert edges_path.read_bytes() == (pipe / f"{sid}_edges.json").read_bytes()
 
         capsys.readouterr()
-        assert main(["match", "--mask", str(mask_path), "--pan", pan_path,
-                     "--edges", str(edges_path)]) == 0
+        assert main(["match", "--mask", str(mask_path), "--pan", pan_path]) == 0
         offset = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["offset"]
         report = json.loads((pipe / "report.json").read_text())
         scene = next(s for s in report["scenes"] if s["id"] == sid)

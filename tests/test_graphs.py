@@ -934,13 +934,14 @@ _model = _doc(max_csg=_arg, min_csg=_arg, prototypes=st.lists(_arg, max_size=2))
 
 
 class TestArgIds:
-    """Vertex ids and edge ends are JSON integers: a float or a numeric
-    string is not truncated or parsed into one."""
+    """Vertex ids and edge ends are JSON integers: a float, a boolean or a
+    numeric string is not truncated or read as one."""
 
     @pytest.mark.parametrize("vertex, edge", [
         ({"id": 0.9}, None), ({"id": 0.0}, None), ({"id": "0"}, None),
         ({"id": 0}, {"from": 0, "to": 1.5}), ({"id": 0}, {"from": "0", "to": 1}),
-        ({"id": 0}, {"from": 0.0, "to": 1}),
+        ({"id": 0}, {"from": 0.0, "to": 1}), ({"id": False}, None),
+        ({"id": 0}, {"from": False, "to": True}),
     ])
     def test_non_integer_is_format_error(self, vertex, edge):
         doc = {"vertices": [{**vertex, "kind": "circle"}, {"id": 1, "kind": "segment"}],
@@ -985,6 +986,13 @@ class TestEdgeChainClosed:
         text = ('{"width": 8, "height": 8, "chains": [{"closed": %s, '
                 '"points": [[1, 1], [4, 1], [4, 4]]}]}' % closed)
         with pytest.raises(FormatError, match="closed"):
+            edges.from_json(text)
+
+    @pytest.mark.parametrize("width, height", [("true", "true"), ("8", "true"), ("false", "8")])
+    def test_boolean_frame_is_format_error(self, width, height):
+        """A JSON boolean is no frame size, though Python reads it as 0 or 1."""
+        text = '{"width": %s, "height": %s, "chains": []}' % (width, height)
+        with pytest.raises(FormatError, match="boolean"):
             edges.from_json(text)
 
 

@@ -112,7 +112,8 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         """Also each key the pipeline no longer has."""
         p = tmp_path / "cfg.txt"
-        for key in ("no_such_knob", "threshold_source", "prune_spurs", "se_shape", "build_models"):
+        for key in ("no_such_knob", "threshold_source", "prune_spurs", "se_shape", "build_models",
+                    "match_se_radius"):
             p.write_text(f"{key}=1\n")
             with pytest.raises(ValueError, match="unknown config key"):
                 PipelineConfig.from_file(p)
@@ -161,7 +162,7 @@ class TestRunPipeline:
         kind = failed[0]["kind"]
         assert report.aggregate["extract"][kind]["incorrect"] >= 1
 
-    @pytest.mark.parametrize("offset", [[1.7, "3"], [1, 2, 3]])
+    @pytest.mark.parametrize("offset", [[1.7, "3"], [1, 2, 3], [True, False]])
     def test_malformed_truth_offset_is_scene_load_error(self, small_corpus, tmp_path, offset):
         """An offset that is not exactly two integers is not rounded or cut:
         its scene records the load error, and the others run."""

@@ -340,7 +340,8 @@ class TestCorpus:
             corpus_specs(2, -1)
         assert corpus_specs(0, 0) == []
 
-    @pytest.mark.parametrize("offset", [[1.7, "3"], [1, 2, 3], [1], [1.0, 2], None, "12"])
+    @pytest.mark.parametrize("offset", [[1.7, "3"], [1, 2, 3], [1], [1.0, 2], None, "12",
+                                        [True, False], [1, True]])
     def test_truth_offset_is_two_integers(self, tmp_path, offset):
         write_corpus(tmp_path, corpus_specs(1, 0, seed=3))
         path = tmp_path / "scene_000_truth.json"

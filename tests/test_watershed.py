@@ -71,7 +71,7 @@ def rendered_scene(request):
     t = corpus_mode_threshold([clip_ms(pan, ms)], delta=cfg.delta)
     _, mask = segment_scene(pan, ms, t, cfg)
     es = detect_edges(pan, cfg)
-    placed = translate(mask, *place_mask(mask, es, pan, cfg).offset)
+    placed = translate(mask, *place_mask(mask, pan, cfg).offset)
     markers = MarkerSet(skeletonize(placed),
                         external_boundary(placed, StructuringElement("disk", cfg.boundary_se_radius)))
     return pan, placed, es, inject_edges(gradient_magnitude(pan), es), markers
