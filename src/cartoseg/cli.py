@@ -143,10 +143,8 @@ def _cmd_model(a) -> int:
         raise EmptyCorpus(f"no .pgm masks under {a.masks}")
     model = fit_model([shape_graph(read_mask(p), a.resolution, cfg) for p in paths], cfg)
     Path(a.out).write_text(graphs.model_to_json(model))
-    print(
-        f"{len(model.prototypes)} prototypes, bounds {model.max_csg.size}/{model.min_csg.size}"
-        f" vertices -> {a.out}"
-    )
+    lo, hi = model.bounds
+    print(f"{len(model.prototypes)} prototypes, bounds {lo.size}/{hi.size} vertices -> {a.out}")
     return 0
 
 
@@ -179,13 +177,14 @@ def _cmd_pipeline(a) -> int:
 
 def _add_config_flags(s) -> None:
     """--config plus one flag per PipelineConfig tuning field, named after it;
-    each command declares its own --corpus/--out."""
+    each command declares its own --corpus/--out.  Every flag is read as
+    text, which `PipelineConfig.with_overrides` converts as it converts the
+    --config file's values."""
     s.add_argument("--config", help="key=value file; the flags below override it")
     for f in fields(PipelineConfig):
         if f.name in ("corpus", "out"):
             continue
-        kind = {"int": int, "float": float}.get(f.type, str)  # bools parse in the config
-        s.add_argument(f"--{f.name}", type=kind, metavar="BOOL" if f.type == "bool" else None)
+        s.add_argument(f"--{f.name}", metavar="BOOL" if f.type == "bool" else None)
 
 
 def _build_parser() -> _Parser:

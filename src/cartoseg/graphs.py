@@ -11,12 +11,13 @@ An isomorphic prototype scores 0 before any search.  Otherwise the
 distance reads only the size of a common subgraph, so it comes from a
 size-only search (`_mcs_size`) that prunes ties, starts from a floor it
 must beat, and stops once nothing larger can exist; the bounds take the
-mapping search (`_mcs_mapping`), which breaks ties.  What the isomorphism
-test reads of one graph (its invariant, adjacency rows, vertex kinds,
+mapping search (`_mcs_mapping`), which breaks ties.  A graph (`Arg`) is
+its vertex kinds, vertex i at position i, and its edges.  What the
+isomorphism test reads of it beyond those (its invariant, adjacency rows,
 neighbours by edge attribute, and the order it places the vertices in) is
-computed once per graph, on first read (`Arg`); a graph is frozen, which
-keeps that data valid.  The scene generator writes its truth graphs in the
-same two primitives.
+computed once per graph, on first read; a graph is frozen, which keeps
+that data valid.  The scene generator writes its truth graphs in the same
+two primitives.
 
 Every exact search takes a node budget and raises BudgetExceeded once it
 goes past it, rather than approximating: the isomorphism test counts the
@@ -150,8 +151,15 @@ def _parts(nbrs: list[list[int]], member: list[bool]) -> list[list[int]]:
 
 def decompose(mask: BinaryMask, mode: str = "skeleton", resolution: float = 1.0) -> list[Primitive]:
     """Split a mask into primitives in meters, at ``resolution`` per pixel:
-    its skeleton's cycles become circles and its branch-free arcs segments.
-    "skeleton" is the one ``mode``, the pipeline's ``decompose_mode``."""
+    its skeleton's cycles become circles and its branch-free arcs segments
+    between their two ends.  "skeleton" is the one ``mode``, the pipeline's
+    ``decompose_mode``.
+
+    An arc part of three or more pixels is a path, with two ends of one
+    link in the part: a pixel has no more links there than its branch-cut
+    count, below 3, and a cycle of links would lie in the 2-core.  The ends
+    are unpacked as two, so a part that broke this would raise.
+    """
     if mode not in DECOMPOSE_MODES:
         raise ValueError(f"unknown decompose mode {mode!r}")
     if not 0 < resolution < math.inf:  # False on NaN too
@@ -179,29 +187,13 @@ def decompose(mask: BinaryMask, mode: str = "skeleton", resolution: float = 1.0)
         if len(part) < _MIN_ARC_PIXELS:
             continue
         inside = set(part)
-        # an arc's ends: at most one linked pixel in the same arc
-        ends = [p for p in part if sum(q in inside for q in nbrs[p]) <= 1]
-        if len(ends) == 2:
-            (x1, y1), (x2, y2) = ((xs[p], ys[p]) for p in ends)
-        else:
-            (x1, y1), (x2, y2) = _farthest_pair(np.stack([xs[part], ys[part]], axis=1).astype(float))
+        ends = [p for p in part if sum(q in inside for q in nbrs[p]) == 1]
+        (x1, y1), (x2, y2) = ((xs[p], ys[p]) for p in ends)
         p1 = (x1 * resolution, y1 * resolution)
         p2 = (x2 * resolution, y2 * resolution)
         if p1 != p2:
             prims.append(make_segment(p1, p2))
     return prims
-
-
-def _farthest_pair(pts: np.ndarray) -> np.ndarray:
-    """The two rows of `pts` farthest apart; among equal distances the first
-    pair (i < j) in (i, j) order.
-
-    The squared distances are symmetric with a zero diagonal, so the first
-    maximum of the whole matrix in row-major order lies above the diagonal
-    and is that pair.
-    """
-    d = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return pts[list(divmod(int(np.argmax(d)), len(pts)))]
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +205,25 @@ def _farthest_pair(pts: np.ndarray) -> np.ndarray:
 class Arg:
     """Attributed relational graph: typed vertices, typed+directed edges.
 
-    The graph is frozen and stores its vertices and edges as tuples, so
-    nothing mutates it after construction, and the search data below
-    (`invariant`, `rows`, `kinds`, `near`, `match_plan`) is computed on
-    first read and kept.  It is plain tuples, lists and dicts of vertex
-    numbers, kinds and attributes, with no reference back to the graph, so
-    dropping a graph frees it by reference counting.
+    Vertex i has kind `kinds[i]`; an edge (a, b, conn, dir) joins vertices
+    a and b.  The graph is frozen and stores both as tuples, so nothing
+    mutates it after construction, and the search data below (`invariant`,
+    `rows`, `near`, `match_plan`) is computed on first read and kept.  It
+    is plain tuples, lists and dicts of vertex numbers, kinds and
+    attributes, with no reference back to the graph, so dropping a graph
+    frees it by reference counting.
     """
 
-    vertices: tuple[tuple[int, str], ...] = ()
+    kinds: tuple[str, ...] = ()
     edges: tuple[tuple[int, int, str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        ids = [v for v, _ in self.vertices]
-        if ids != list(range(len(ids))):
-            raise ValueError("vertex ids must be dense 0..n-1 in order")
+        object.__setattr__(self, "kinds", tuple(self.kinds))
+        n = len(self.kinds)
         canon = []
         seen = set()
         for a, b, conn, direction in self.edges:
-            if a == b or not (0 <= a < len(ids)) or not (0 <= b < len(ids)):
+            if a == b or not (0 <= a < n) or not (0 <= b < n):
                 raise ValueError("edge references invalid vertices")
             if a > b:
                 a, b = b, a
@@ -244,7 +235,7 @@ class Arg:
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.kinds)
 
     @cached_property
     def invariant(self) -> tuple:
@@ -260,11 +251,6 @@ class Arg:
         for a, b, conn, d in self.edges:
             rows[a][b] = rows[b][a] = (conn, d)
         return rows
-
-    @cached_property
-    def kinds(self) -> list[str]:
-        """The kind of each vertex."""
-        return [k for _, k in self.vertices]
 
     @cached_property
     def near(self) -> list[dict[tuple[str, str], list[int]]]:
@@ -309,7 +295,7 @@ class Arg:
 def arg_to_doc(g: Arg) -> dict:
     """The JSON document of a graph, as `arg_to_json` writes it."""
     return {
-        "vertices": [{"id": i, "kind": k} for i, k in g.vertices],
+        "vertices": [{"id": i, "kind": k} for i, k in enumerate(g.kinds)],
         "edges": [{"from": a, "to": b, "conn": c, "dir": d} for a, b, c, d in g.edges],
     }
 
@@ -327,16 +313,20 @@ def _text(value, allowed: tuple[str, ...] | None = None) -> str:
 
 def arg_from_json(text: str) -> Arg:
     """The graph an `arg_to_json` document (text or parsed) describes;
-    FormatError for any document that does not describe a valid one."""
+    FormatError for any document that does not describe a valid one, such
+    as one whose vertex ids are not 0..n-1 in order."""
     try:
         doc = json.loads(text) if isinstance(text, str) else text
-        verts = [(doc_int(v["id"]), _text(v["kind"])) for v in doc["vertices"]]
+        verts = doc["vertices"]
+        if [doc_int(v["id"]) for v in verts] != list(range(len(verts))):
+            raise ValueError("vertex ids must be dense 0..n-1 in order")
+        kinds = [_text(v["kind"]) for v in verts]
         edges = [
             (doc_int(e["from"]), doc_int(e["to"]),
              _text(e["conn"], CONNECTION_KINDS), _text(e["dir"], DIRECTION_BINS))
             for e in doc["edges"]
         ]
-        return Arg(verts, edges)
+        return Arg(kinds, edges)
     except DOC_ERRORS as exc:
         raise FormatError(f"not a graph: {type(exc).__name__}: {exc}") from exc
 
@@ -402,7 +392,6 @@ def build_arg(prims: list[Primitive], adjacency_tol: float) -> Arg:
     """Graph of primitives: an edge joins every pair whose boundaries come
     within ``adjacency_tol`` meters, attributed with the connection kind
     and the quantized direction between centers (from the lower vertex)."""
-    vertices = [(i, p.kind) for i, p in enumerate(prims)]
     samples = [_boundary_samples(p) for p in prims]
     edges = []
     for i in range(len(prims)):
@@ -432,7 +421,7 @@ def build_arg(prims: list[Primitive], adjacency_tol: float) -> Arg:
                 else:
                     conn = "overlap"  # flank contact with no end involved
             edges.append((i, j, conn, _direction_bin(a.center, b.center)))
-    return Arg(vertices, edges)
+    return Arg([p.kind for p in prims], edges)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +449,9 @@ def _association(g1: Arg, g2: Arg):
     to both under one attribute.
     """
     by_kind: dict[str, list[int]] = {}
-    for b, kind in g2.vertices:
+    for b, kind in enumerate(g2.kinds):
         by_kind.setdefault(kind, []).append(b)
-    pairs = [(a, b) for a, kind in g1.vertices for b in by_kind.get(kind, ())]
+    pairs = [(a, b) for a, kind in enumerate(g1.kinds) for b in by_kind.get(kind, ())]
     of1, of2 = [0] * g1.size, [0] * g2.size  # the pairs of each vertex
     for i, (a, b) in enumerate(pairs):
         of1[a] |= 1 << i
@@ -612,7 +601,7 @@ def _mcs_size(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET, floor: i
 def _induced_subgraph(g: Arg, keep: list[int]) -> Arg:
     remap = {v: i for i, v in enumerate(sorted(keep))}
     edges = [(remap[a], remap[b], c, d) for a, b, c, d in g.edges if a in remap and b in remap]
-    return Arg([(i, g.kinds[v]) for v, i in remap.items()], sorted(edges))
+    return Arg([g.kinds[v] for v in remap], sorted(edges))
 
 
 def max_common_subgraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDGET) -> Arg:
@@ -632,8 +621,8 @@ def min_common_supergraph(g1: Arg, g2: Arg, node_budget: int = DEFAULT_NODE_BUDG
     edges = {(a, b): (conn, d) for a, b, conn, d in g1.edges}
     for u, v, conn, d in g2.edges:
         edges.setdefault(tuple(sorted((translate[u], translate[v]))), (conn, d))
-    verts = [*g1.vertices, *((translate[b], g2.kinds[b]) for b in extra)]
-    return Arg(verts, [(a, b, *at) for (a, b), at in sorted(edges.items())])
+    kinds = [*g1.kinds, *(g2.kinds[b] for b in extra)]
+    return Arg(kinds, [(a, b, *at) for (a, b), at in sorted(edges.items())])
 
 
 def _matches(g1: Arg, g2: Arg, node_budget: int) -> bool:
@@ -740,14 +729,6 @@ class ObjectModel:
             hi = min_common_supergraph(hi, p, self.node_budget)
         return lo, hi
 
-    @property
-    def max_csg(self) -> Arg:
-        return self.bounds[0]
-
-    @property
-    def min_csg(self) -> Arg:
-        return self.bounds[1]
-
 
 def generate_model(prototypes: list[Arg], node_budget: int = DEFAULT_NODE_BUDGET) -> ObjectModel:
     """The model of the prototypes; its bounds are folded when first read."""
@@ -785,7 +766,7 @@ def model_distance(
     A reference isomorphic to the graph scores 0 before any search.  The
     other references are searched in order, each passed the least distance
     so far, and the walk stops at a distance of 0."""
-    refs = [model.max_csg, model.min_csg] if use_bounds else model.prototypes
+    refs = model.bounds if use_bounds else model.prototypes
     for r in refs:
         try:
             if is_isomorphic(g, r, node_budget):
@@ -801,10 +782,11 @@ def model_distance(
 
 
 def model_to_json(model: ObjectModel) -> str:
+    lo, hi = model.bounds
     return json.dumps(
         {
-            "max_csg": arg_to_doc(model.max_csg),
-            "min_csg": arg_to_doc(model.min_csg),
+            "max_csg": arg_to_doc(lo),
+            "min_csg": arg_to_doc(hi),
             "prototypes": [arg_to_doc(p) for p in model.prototypes],
         },
         sort_keys=True,

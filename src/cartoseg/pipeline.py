@@ -138,7 +138,10 @@ class PipelineConfig:
             values[key.strip()] = raw.strip()
         return cls().with_overrides(values)
 
-    def with_overrides(self, values: dict) -> "PipelineConfig":
+    def with_overrides(self, values: dict[str, str | None]) -> "PipelineConfig":
+        """This config with each key in ``values`` set from its text (None
+        leaves the key as it is): the one conversion that the --config file
+        and the CLI flags share."""
         by_name = {f.name: f for f in fields(self)}
         current = asdict(self)
         for key, raw in values.items():
@@ -147,15 +150,15 @@ class PipelineConfig:
             if key not in by_name:
                 raise ValueError(f"unknown config key {key!r}")
             ftype = by_name[key].type
-            if isinstance(raw, str):
-                if ftype == "bool":
-                    if raw.lower() not in _BOOLS:
-                        raise ValueError(f"{key}: not a boolean: {raw!r}")
-                    raw = _BOOLS[raw.lower()]
-                elif ftype == "int":
-                    raw = int(raw)
-                elif ftype == "float":
-                    raw = float(raw)
+            if ftype == "bool":
+                if raw.lower() not in _BOOLS:
+                    raise ValueError(f"{key}: not a boolean: {raw!r}")
+                raw = _BOOLS[raw.lower()]
+            elif ftype in ("int", "float"):
+                try:
+                    raw = (int if ftype == "int" else float)(raw)
+                except ValueError:
+                    raise ValueError(f"{key}: not a valid {ftype}: {raw!r}") from None
             current[key] = raw
         return PipelineConfig(**current)
 

@@ -90,6 +90,14 @@ class SceneSpec:
         counts = (self.clutter, self.seed, self.pan_size, self.ms_margin)
         if not all(isinstance(n, (int, np.integer)) for n in counts):
             raise SpecError("clutter, seed, pan size and margin must be integers")
+        off = self.offset
+        if not (isinstance(off, (tuple, list)) and len(off) == 2
+                and all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in off)):
+            raise SpecError(f"offset must be two integers (dx, dy): {off!r}")
+        # numpy integers are taken, and kept as the ints a manifest can hold
+        for name in ("clutter", "seed", "pan_size", "ms_margin"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "offset", (int(off[0]), int(off[1])))
         if min(self.road_width_m, self.circle_radius_m, self.pan_res, self.pan_size) <= 0:
             raise SpecError("geometry must be positive")
         if self.kind == "roundabout" and self.circle_radius_m <= self.road_width_m / 2:

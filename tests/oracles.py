@@ -750,13 +750,13 @@ def _edge_attr(g, a, b):
 def brute_mcs_size(g1, g2) -> int:
     """Maximum induced common subgraph size by exhaustive enumeration of
     vertex subsets and injective kind-preserving mappings."""
-    n1, n2 = len(g1.vertices), len(g2.vertices)
+    n1, n2 = g1.size, g2.size
     best = 0
     verts1 = list(range(n1))
     for k in range(min(n1, n2), best, -1):
         for subset in itertools.combinations(verts1, k):
             for image in itertools.permutations(range(n2), k):
-                if any(g1.vertices[a][1] != g2.vertices[b][1] for a, b in zip(subset, image)):
+                if any(g1.kinds[a] != g2.kinds[b] for a, b in zip(subset, image)):
                     continue
                 ok = True
                 for i in range(k):
@@ -776,7 +776,7 @@ def brute_mcs_size(g1, g2) -> int:
 def can_embed(small, big) -> bool:
     """Is `small` isomorphic to a (not necessarily induced) subgraph of
     `big` with matching vertex kinds and edge attributes?"""
-    ns, nb = len(small.vertices), len(big.vertices)
+    ns, nb = small.size, big.size
     if ns > nb:
         return False
 
@@ -784,7 +784,7 @@ def can_embed(small, big) -> bool:
         if i == ns:
             return True
         for w in range(nb):
-            if w in used or small.vertices[i][1] != big.vertices[w][1]:
+            if w in used or small.kinds[i] != big.kinds[w]:
                 continue
             ok = True
             for j in range(i):
@@ -800,11 +800,11 @@ def can_embed(small, big) -> bool:
 
 
 def brute_isomorphic(g1, g2) -> bool:
-    n = len(g1.vertices)
-    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    n = g1.size
+    if n != g2.size or len(g1.edges) != len(g2.edges):
         return False
     for perm in itertools.permutations(range(n)):
-        if any(g1.vertices[i][1] != g2.vertices[perm[i]][1] for i in range(n)):
+        if any(g1.kinds[i] != g2.kinds[perm[i]] for i in range(n)):
             continue
         if all(
             _edge_attr(g1, i, j) == _edge_attr(g2, perm[i], perm[j])
@@ -820,7 +820,7 @@ def random_arg(rng, max_vertices=5, kinds=("rectangle", "circle", "segment")):
     from cartoseg.graphs import Arg
 
     n = int(rng.integers(0, max_vertices + 1))
-    vertices = [(i, kinds[int(rng.integers(0, len(kinds)))]) for i in range(n)]
+    picked = [kinds[int(rng.integers(0, len(kinds)))] for _ in range(n)]
     edges = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -828,7 +828,7 @@ def random_arg(rng, max_vertices=5, kinds=("rectangle", "circle", "segment")):
                 conn = ("end-to-end", "end-to-side", "overlap")[int(rng.integers(0, 3))]
                 d = ("E", "NE", "N", "SE")[int(rng.integers(0, 4))]
                 edges.append((a, b, conn, d))
-    return Arg(vertices, edges)
+    return Arg(picked, edges)
 
 
 def edges_then_triangle(k: int):
@@ -840,11 +840,11 @@ def edges_then_triangle(k: int):
     from cartoseg.graphs import Arg
 
     ee = ("end-to-end", "E")
-    verts = [(i, "segment") for i in range(2 * k + 4)]
+    kinds = ["segment"] * (2 * k + 4)
     pairs = [(2 * i, 2 * i + 1, *ee) for i in range(k)]
     a, b, c, d = range(2 * k, 2 * k + 4)
-    tri = Arg(verts, pairs + [(a, b, *ee), (b, c, *ee), (a, c, *ee)])
-    line = Arg(verts, pairs + [(a, b, *ee), (b, c, *ee), (c, d, *ee)])
+    tri = Arg(kinds, pairs + [(a, b, *ee), (b, c, *ee), (a, c, *ee)])
+    line = Arg(kinds, pairs + [(a, b, *ee), (b, c, *ee), (c, d, *ee)])
     return tri, line
 
 
@@ -903,9 +903,9 @@ def dense_association(g1, g2):
     and the pairs x pairs matrix of adjacent g1 vertices."""
     pairs = [
         (a, b)
-        for a in range(len(g1.vertices))
-        for b in range(len(g2.vertices))
-        if g1.vertices[a][1] == g2.vertices[b][1]
+        for a in range(g1.size)
+        for b in range(g2.size)
+        if g1.kinds[a] == g2.kinds[b]
     ]
     n = len(pairs)
     e1 = {(a, b): (c, d) for a, b, c, d in g1.edges}
@@ -973,19 +973,6 @@ def list_mcs_mapping(g1, g2, node_budget: int):
     return [pairs[i] for i in best], nodes
 
 
-def loop_farthest_pair(pts):
-    """The first pair (i < j) at the largest distance, by a double loop."""
-    best = (pts[0], pts[0])
-    best_d = -1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-            if d > best_d:
-                best_d = d
-                best = (pts[i], pts[j])
-    return list(best)
-
-
 def loop_decompose(mask, resolution: float):
     """`decompose` from the oracles alone: the core by full-frame passes,
     circles from its flood-filled 8-components, the branch cut and the arc
@@ -1012,14 +999,11 @@ def loop_decompose(mask, resolution: float):
         ys, xs = np.nonzero(labels == lab)
         if len(ys) < _MIN_ARC_PIXELS:
             continue
-        pix = list(zip(xs.astype(float), ys.astype(float)))
         arc = labels == lab
         ey, ex = np.nonzero(arc & (pointwise_reduced_degree(arc) <= 1))
-        ends = [(float(x), float(y)) for x, y in zip(ex, ey)]
-        if len(ends) != 2:
-            ends = loop_farthest_pair(pix)
-        p1 = (ends[0][0] * resolution, ends[0][1] * resolution)
-        p2 = (ends[1][0] * resolution, ends[1][1] * resolution)
+        (x1, y1), (x2, y2) = zip(ex.astype(float), ey.astype(float))  # a path's two ends
+        p1 = (x1 * resolution, y1 * resolution)
+        p2 = (x2 * resolution, y2 * resolution)
         if p1 != p2:
             prims.append(make_segment(p1, p2))
     return prims
@@ -1028,7 +1012,7 @@ def loop_decompose(mask, resolution: float):
 def old_arg_to_json(g) -> str:
     return json.dumps(
         {
-            "vertices": [{"id": i, "kind": k} for i, k in g.vertices],
+            "vertices": [{"id": i, "kind": k} for i, k in enumerate(g.kinds)],
             "edges": [
                 {"from": a, "to": b, "conn": c, "dir": d} for a, b, c, d in g.edges
             ],
@@ -1041,8 +1025,8 @@ def roundtrip_model_to_json(model) -> str:
     """The model document built by parsing each graph's JSON text back."""
     return json.dumps(
         {
-            "max_csg": json.loads(old_arg_to_json(model.max_csg)),
-            "min_csg": json.loads(old_arg_to_json(model.min_csg)),
+            "max_csg": json.loads(old_arg_to_json(model.bounds[0])),
+            "min_csg": json.loads(old_arg_to_json(model.bounds[1])),
             "prototypes": [json.loads(old_arg_to_json(p)) for p in model.prototypes],
         },
         sort_keys=True,
@@ -1054,8 +1038,7 @@ def probe_induced_subgraph(g, keep):
     from cartoseg.graphs import Arg
 
     keep = sorted(keep)
-    remap = {v: i for i, v in enumerate(keep)}
-    verts = [(remap[v], g.vertices[v][1]) for v in keep]
+    kinds = [g.kinds[v] for v in keep]
     attrs = {(a, b): (c, d) for a, b, c, d in g.edges}
     edges = []
     for x in range(len(keep)):
@@ -1063,7 +1046,7 @@ def probe_induced_subgraph(g, keep):
             at = attrs.get((keep[x], keep[y]))
             if at is not None:
                 edges.append((x, y, at[0], at[1]))
-    return Arg(verts, edges)
+    return Arg(kinds, edges)
 
 
 def glue_supergraph(g1, g2, mapping):
@@ -1079,9 +1062,7 @@ def glue_supergraph(g1, g2, mapping):
         else:
             translate[b] = next_id
             next_id += 1
-    verts = list(g1.vertices) + [
-        (translate[b], g2.vertices[b][1]) for b in range(g2.size) if b not in to_g1
-    ]
+    kinds = list(g1.kinds) + [g2.kinds[b] for b in range(g2.size) if b not in to_g1]
     edges = {(a, b): (c, d) for a, b, c, d in g1.edges}
     for u, v, c, d in g2.edges:
         a, b = translate[u], translate[v]
@@ -1089,7 +1070,7 @@ def glue_supergraph(g1, g2, mapping):
         if key not in edges:
             edges[key] = (c, d)
     edge_list = [(a, b, at[0], at[1]) for (a, b), at in sorted(edges.items())]
-    return Arg(verts, edge_list)
+    return Arg(kinds, edge_list)
 
 
 def eager_fold_bounds(prototypes):

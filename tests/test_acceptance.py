@@ -194,11 +194,11 @@ def test_criterion_5_graph_suite():
 
 def test_criterion_6_model_sandwich():
     chain = Arg(
-        [(0, "rectangle"), (1, "rectangle"), (2, "rectangle")],
+        ["rectangle"] * 3,
         [(0, 1, "end-to-end", "E"), (1, 2, "end-to-end", "E")],
     )
     ramp = Arg(
-        [(0, "rectangle"), (1, "rectangle"), (2, "rectangle"), (3, "rectangle")],
+        ["rectangle"] * 4,
         [
             (0, 1, "end-to-end", "E"),
             (1, 2, "end-to-end", "E"),
@@ -206,23 +206,21 @@ def test_criterion_6_model_sandwich():
         ],
     )
     skewed = Arg(
-        [(0, "rectangle"), (1, "rectangle"), (2, "rectangle")],
+        ["rectangle"] * 3,
         [(0, 1, "end-to-end", "E"), (1, 2, "end-to-end", "NE")],
     )
     variants = [chain, ramp, skewed]
     protos = find_prototypes(variants, min_support=1)
     model = generate_model(protos)
-    sandwich_ok = all(
-        can_embed(model.max_csg, p) and can_embed(p, model.min_csg)
-        for p in model.prototypes
-    )
+    lo, hi = model.bounds
+    sandwich_ok = all(can_embed(lo, p) and can_embed(p, hi) for p in model.prototypes)
     biggest = max(p.size for p in model.prototypes)
-    bound = 1.0 - model.max_csg.size / biggest
+    bound = 1.0 - lo.size / biggest
     dist_ok = all(model_distance(g, model) <= bound + 1e-12 for g in variants)
     report(
         6,
         sandwich_ok and dist_ok,
-        f"3-variant model: max_csg {model.max_csg.size}v / min_csg {model.min_csg.size}v, "
+        f"3-variant model: max_csg {lo.size}v / min_csg {hi.size}v, "
         f"sandwich {'holds' if sandwich_ok else 'broken'}, "
         f"training distances within 1-|maxCS|/|proto| = {bound:.3f}",
     )

@@ -72,7 +72,7 @@ class TestExitCodes:
             argv = ["model", "--masks", str(masks), "--out", str(out)]
         else:
             (tmp_path / "model.json").write_text(
-                graphs.model_to_json(graphs.generate_model([graphs.Arg([(0, "circle")], [])])))
+                graphs.model_to_json(graphs.generate_model([graphs.Arg(("circle",), [])])))
             argv = ["score", "--model", str(tmp_path / "model.json"),
                     "--mask", str(next(masks.glob("*.pgm")))]
         assert main([*argv, "--resolution", resolution]) == 1
@@ -111,7 +111,7 @@ class TestExitCodes:
          ("threshold_source", "ch9"), ("prune_spurs", "4"), ("build_models", "false"),
          ("canny_high_percentile", "150"), ("canny_low_fraction", "2"), ("delta", "-5"),
          ("adjacency_tol", "-1"), ("smooth_window", "-3"), ("min_support", "-1"),
-         ("node_budget", "-5")],
+         ("node_budget", "-5"), ("half_window", "4.5")],
     )
     def test_bad_numeric_key_is_one(self, tmp_path, corpus_dir, key, raw):
         """Keys the pipeline no longer has (se_shape, match_se_radius,
@@ -120,6 +120,18 @@ class TestExitCodes:
                    f"--{key}", raw])
         assert rc == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unreadable_number_names_its_key(self, tmp_path, corpus_dir, source, capsys):
+        """A flag and a --config value are converted by the same code, and
+        its error names the key."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("half_window=4.5\n")
+        given = ["--half_window", "4.5"] if source == "flag" else ["--config", str(cfg)]
+        rc = main(["pipeline", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"), *given])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+        assert "half_window: not a valid int: '4.5'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, raw", [("band_w1", "inf"), ("canny_sigma", "inf"),
                                           ("delta", "-inf"), ("adjacency_tol", "nan")])
@@ -141,17 +153,20 @@ class TestExitCodes:
                    ' "edges": [{"from": 0, "to": 0, "conn": "overlap", "dir": "E"}]}'),
          ("--arg", '{"vertices": [{"id": 0, "kind": "circle"}, {"id": 1, "kind": "circle"}],'
                    ' "edges": [{"from": 0, "to": 1, "conn": [1], "dir": "E"}]}'),
+         ("--arg", '{"vertices": [{"id": 1, "kind": "circle"}, {"id": 0, "kind": "circle"}],'
+                   ' "edges": []}'),
          ("--model", '{"max_csg": 1}'),
          ("--model", "[1, 2]"),
          ("--model", '{"max_csg": {"vertices": [], "edges": []},'
                      ' "min_csg": {"vertices": [], "edges": []}, "prototypes": []}')],
         ids=["edges-text", "edges-no-chains", "edges-one-point", "edges-fractional-width",
-             "arg-no-kind", "arg-self-loop", "arg-list-conn", "model-int-bound", "model-list",
+             "arg-no-kind", "arg-self-loop", "arg-list-conn", "arg-ids-out-of-order",
+             "model-int-bound", "model-list",
              "model-no-prototypes"],
     )
     def test_malformed_json_is_two(self, tmp_path, corpus_dir, flag, text, capsys):
         entry = json.loads((corpus_dir / "manifest.json").read_text())["scenes"][0]
-        g = graphs.Arg([(0, "circle")], [])
+        g = graphs.Arg(("circle",), [])
         good = {"--arg": graphs.arg_to_json(g),
                 "--model": graphs.model_to_json(graphs.generate_model([g]))}
         for name, doc in {**good, flag: text}.items():

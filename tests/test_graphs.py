@@ -34,7 +34,6 @@ from cartoseg.graphs import (
     model_from_json,
     model_to_json,
     _association,
-    _farthest_pair,
     _matches,
     _mcs_mapping,
     _two_core,
@@ -52,7 +51,6 @@ from oracles import (
     glue_supergraph,
     list_mcs_mapping,
     loop_decompose,
-    loop_farthest_pair,
     old_arg_to_json,
     pass_two_core,
     pointwise_reduced_degree,
@@ -67,33 +65,33 @@ EE = ("end-to-end", "E")
 
 
 def path(kinds, attr=EE):
-    verts = [(i, k) for i, k in enumerate(kinds)]
     edges = [(i, i + 1, attr[0], attr[1]) for i in range(len(kinds) - 1)]
-    return Arg(verts, edges)
+    return Arg(kinds, edges)
 
 
 class TestArgType:
     def test_dense_ids_required(self):
-        with pytest.raises(ValueError):
-            Arg([(0, "circle"), (2, "circle")], [])
+        """A graph has no vertex ids: vertex i is at position i.  A document
+        whose ids are not 0..n-1 in order describes no graph."""
+        for ids in ([0, 2], [1, 0], [0, 0], [1]):
+            doc = {"vertices": [{"id": i, "kind": "circle"} for i in ids], "edges": []}
+            with pytest.raises(FormatError, match="dense"):
+                arg_from_json(json.dumps(doc))
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
-            Arg(
-                [(0, "circle"), (1, "circle")],
-                [(0, 1, "overlap", "E"), (1, 0, "overlap", "N")],
-            )
+            Arg(("circle", "circle"), [(0, 1, "overlap", "E"), (1, 0, "overlap", "N")])
 
     def test_canonical_orientation(self):
-        g = Arg([(0, "a"), (1, "b")], [(1, 0, "overlap", "NE")])
+        g = Arg(("a", "b"), [(1, 0, "overlap", "NE")])
         assert g.edges == ((0, 1, "overlap", "NE"),)
 
     def test_graph_cannot_change(self):
         """A graph keeps its search data once read, so it is frozen and its
-        vertices and edges are tuples."""
-        g = Arg([(0, "a"), (1, "b")], [(1, 0, "overlap", "NE")])
+        kinds and edges are tuples."""
+        g = Arg(["a", "b"], [(1, 0, "overlap", "NE")])
         assert g.rows[0][1] == ("overlap", "NE")
-        assert g.vertices == ((0, "a"), (1, "b"))
+        assert g.kinds == ("a", "b") and g.kinds[1] == "b"
         with pytest.raises(FrozenInstanceError):
             g.edges = ()
         with pytest.raises(AttributeError):
@@ -102,7 +100,7 @@ class TestArgType:
     def test_json_roundtrip(self):
         g = path(["a", "b", "c"])
         back = arg_from_json(arg_to_json(g))
-        assert back.vertices == g.vertices and back.edges == g.edges
+        assert back.kinds == g.kinds and back.edges == g.edges
 
 
 class TestPrimitives:
@@ -238,15 +236,6 @@ class TestDecomposeOracle:
         assert circle.kind == "circle"
         assert circle.center == pytest.approx((2.8, 2.8))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=40,
-                    unique=True))
-    def test_farthest_pair_equals_loop(self, pts):
-        """Integer points repeat distances, so the first-pair tie rule shows."""
-        got = _farthest_pair(np.array(pts, dtype=float))
-        assert [tuple(p) for p in got.tolist()] == loop_farthest_pair(
-            [(float(x), float(y)) for x, y in pts])
-
 
 class TestReducedDegreeOracle:
     @settings(max_examples=200, deadline=None)
@@ -368,7 +357,7 @@ def small_args(draw, max_vertices=8):
     attrs = draw(st.lists(
         st.none() | st.tuples(st.sampled_from(CONNECTION_KINDS), st.sampled_from(DIRECTION_BINS)),
         min_size=len(links), max_size=len(links)))
-    return Arg(list(enumerate(kinds)), [(a, b, *at) for (a, b), at in zip(links, attrs) if at])
+    return Arg(kinds, [(a, b, *at) for (a, b), at in zip(links, attrs) if at])
 
 
 class TestMcsOracle:
@@ -435,7 +424,7 @@ class TestMcsOracle:
         before the budget could trip.  The size search behind the distance
         stops at the covering identity mapping (61 nodes) and returns."""
         n = 60
-        g = Arg([(i, "segment") for i in range(n)], [(i, (i + 1) % n, *EE) for i in range(n)])
+        g = Arg(["segment"] * n, [(i, (i + 1) % n, *EE) for i in range(n)])
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
@@ -449,7 +438,7 @@ class TestMcsOracle:
 
 def permuted(g, perm):
     """g with vertex i renumbered perm[i]: an isomorphic copy."""
-    return Arg(sorted((perm[i], k) for i, k in g.vertices),
+    return Arg([k for _, k in sorted(zip(perm, g.kinds))],
                [(perm[a], perm[b], c, d) for a, b, c, d in g.edges])
 
 
@@ -522,8 +511,8 @@ class TestSizeSearch:
     def test_isomorphic_prototype_scores_zero_before_any_search(self):
         """A permuted copy of the shape sits behind a prototype whose search
         trips the budget: the copy scores 0, and no search runs."""
-        ring = Arg([(i, "segment") for i in range(8)], [(i, (i + 1) % 8, *EE) for i in range(8)])
-        loose = Arg([(i, "segment") for i in range(8)], [])
+        ring = Arg(["segment"] * 8, [(i, (i + 1) % 8, *EE) for i in range(8)])
+        loose = Arg(["segment"] * 8, [])
         with pytest.raises(BudgetExceeded):
             graph_distance(ring, loose, node_budget=20)
         model = generate_model([loose, permuted(ring, [3, 4, 5, 6, 7, 0, 1, 2])])
@@ -568,7 +557,7 @@ class TestSizeSearch:
         cached = [name for name, attr in vars(Arg).items() if isinstance(attr, cached_property)]
 
         def fold():
-            ring = Arg([(i, "segment") for i in range(8)], [(i, (i + 1) % 8, *EE) for i in range(8)])
+            ring = Arg(["segment"] * 8, [(i, (i + 1) % 8, *EE) for i in range(8)])
             line = path(["segment", "cycle", "segment", "segment"])
             copies = [permuted(ring, [3, 4, 5, 6, 7, 0, 1, 2]), permuted(ring, [1, 2, 3, 4, 5, 6, 7, 0])]
             model = generate_model([line, ring])
@@ -601,8 +590,8 @@ class TestGraphAssemblyOracle:
     @given(small_args(6), small_args(6), st.data())
     def test_sub_and_supergraph_equal_old_assembly(self, g1, g2, data):
         """Edge lists in any order, as a parsed document may hold them."""
-        g1 = Arg(g1.vertices, data.draw(st.permutations(g1.edges)))
-        g2 = Arg(g2.vertices, data.draw(st.permutations(g2.edges)))
+        g1 = Arg(g1.kinds, data.draw(st.permutations(g1.edges)))
+        g2 = Arg(g2.kinds, data.draw(st.permutations(g2.edges)))
         mapping = _mcs_mapping(g1, g2)
         assert arg_to_json(max_common_subgraph(g1, g2)) == old_arg_to_json(
             probe_induced_subgraph(g1, [a for a, _ in mapping]))
@@ -632,8 +621,7 @@ class TestMinCommonSupergraph:
         g2 = path(["a", "b", "d"])
         m = min_common_supergraph(g1, g2)
         assert m.size == 4
-        kinds = sorted(k for _, k in m.vertices)
-        assert kinds == ["a", "b", "c", "d"]
+        assert sorted(m.kinds) == ["a", "b", "c", "d"]
         assert len(m.edges) == 3
         assert can_embed(g1, m) and can_embed(g2, m)
 
@@ -650,9 +638,8 @@ class TestMinCommonSupergraph:
 class TestPrototypes:
     def relabeled(self, g, perm):
         inv = {old: new for new, old in enumerate(perm)}
-        verts = sorted(((inv[i], k) for i, k in g.vertices))
         edges = [(inv[a], inv[b], c, d) for a, b, c, d in g.edges]
-        return Arg(list(verts), edges)
+        return Arg([g.kinds[old] for old in perm], edges)
 
     def test_single_class(self):
         g = path(["a", "b"])
@@ -692,7 +679,7 @@ class TestPrototypes:
         to other vertex pairs, is isomorphic or not as the brute force says."""
         links = [(a, b) for a in range(g.size) for b in range(a + 1, g.size)]
         ends = data.draw(st.permutations(links))[:len(g.edges)]
-        h = Arg(g.vertices, [(a, b, *e[2:]) for (a, b), e in zip(ends, g.edges)])
+        h = Arg(g.kinds, [(a, b, *e[2:]) for (a, b), e in zip(ends, g.edges)])
         assert h.invariant == g.invariant
         assert is_isomorphic(g, h) == brute_isomorphic(g, h)
 
@@ -702,8 +689,8 @@ class TestPrototypes:
         match places vertices with edges first, so it fails before it
         tries the isolated vertices' 30! orders."""
         k, n = 30, 33
-        tri = Arg([(i, "segment") for i in range(n)], [(k, k + 1, *EE), (k + 1, k + 2, *EE), (k, k + 2, *EE)])
-        line = Arg([(i, "segment") for i in range(n)], [(k - 1, k, *EE), (k, k + 1, *EE), (k + 1, k + 2, *EE)])
+        tri = Arg(["segment"] * n, [(k, k + 1, *EE), (k + 1, k + 2, *EE), (k, k + 2, *EE)])
+        line = Arg(["segment"] * n, [(k - 1, k, *EE), (k, k + 1, *EE), (k + 1, k + 2, *EE)])
         assert tri.invariant == line.invariant
         assert not is_isomorphic(tri, line) and not is_isomorphic(line, tri)
         assert len(find_prototypes([tri, line, tri])) == 2
@@ -737,11 +724,11 @@ class TestPrototypes:
 def bridge_variants():
     """Deck + two road rectangles; some training shapes add a ramp."""
     base = Arg(
-        [(0, "rectangle"), (1, "rectangle"), (2, "rectangle")],
+        ["rectangle"] * 3,
         [(0, 1, "end-to-end", "E"), (1, 2, "end-to-end", "E")],
     )
     ramp = Arg(
-        [(0, "rectangle"), (1, "rectangle"), (2, "rectangle"), (3, "rectangle")],
+        ["rectangle"] * 4,
         [
             (0, 1, "end-to-end", "E"),
             (1, 2, "end-to-end", "E"),
@@ -755,13 +742,13 @@ class TestGenerateModel:
     def test_single_prototype(self):
         g = path(["a", "b", "c"])
         model = generate_model([g])
-        assert is_isomorphic(model.max_csg, g)
-        assert is_isomorphic(model.min_csg, g)
+        assert is_isomorphic(model.bounds[0], g)
+        assert is_isomorphic(model.bounds[1], g)
 
     def test_two_identical(self):
         g = path(["a", "b"])
         model = generate_model([g, g])
-        assert is_isomorphic(model.max_csg, g) and is_isomorphic(model.min_csg, g)
+        assert is_isomorphic(model.bounds[0], g) and is_isomorphic(model.bounds[1], g)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -770,11 +757,11 @@ class TestGenerateModel:
     def test_bridge_corpus_bounds(self):
         base, ramp = bridge_variants()
         model = generate_model([base, base, ramp])
-        assert model.max_csg.size == 3  # the three-rectangle chain
-        assert model.min_csg.size == 4  # plus the ramp vertex
+        assert model.bounds[0].size == 3  # the three-rectangle chain
+        assert model.bounds[1].size == 4  # plus the ramp vertex
         for proto in model.prototypes:
-            assert can_embed(model.max_csg, proto)
-            assert can_embed(proto, model.min_csg)
+            assert can_embed(model.bounds[0], proto)
+            assert can_embed(proto, model.bounds[1])
 
 
 class TestLazyBounds:
@@ -794,7 +781,7 @@ class TestLazyBounds:
         model = generate_model([base, base, ramp])
         assert model_distance(ramp, model) == 0.0
         with pytest.raises(AssertionError, match="folded"):
-            model.max_csg
+            model.bounds
 
     def test_model_from_json_folds_nothing(self, monkeypatch):
         base, ramp = bridge_variants()
@@ -807,7 +794,7 @@ class TestLazyBounds:
         model = generate_model([g, g], node_budget=3)
         assert model.prototypes == [g, g]
         with pytest.raises(BudgetExceeded):
-            model.max_csg
+            model.bounds
         with pytest.raises(BudgetExceeded):  # a failed fold is not kept
             model.bounds
 
@@ -826,7 +813,7 @@ class TestLazyBounds:
         monkeypatch.setattr(graphs, "max_common_subgraph",
                             lambda *a: calls.append(1) or fold(*a))
         model = generate_model([path(["a", "b"]), path(["a", "c"])])
-        assert model.max_csg is model.bounds[0] and model.min_csg is model.bounds[1]
+        assert model.bounds is model.bounds
         assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
@@ -834,8 +821,7 @@ class TestLazyBounds:
     def test_bounds_equal_eager_fold(self, prototypes):
         lo, hi = eager_fold_bounds(prototypes)
         model = generate_model(prototypes)
-        assert arg_to_json(model.max_csg) == arg_to_json(lo)
-        assert arg_to_json(model.min_csg) == arg_to_json(hi)
+        assert [arg_to_json(b) for b in model.bounds] == [arg_to_json(lo), arg_to_json(hi)]
 
 
 class TestModelDistance:
@@ -862,15 +848,13 @@ class TestModelDistance:
         d_proto = model_distance(ramp, model)
         d_bounds = model_distance(ramp, model, use_bounds=True)
         assert d_proto == 0.0
-        assert d_bounds == pytest.approx(min(
-            graph_distance(ramp, model.max_csg), graph_distance(ramp, model.min_csg)
-        ))
+        assert d_bounds == pytest.approx(min(graph_distance(ramp, b) for b in model.bounds))
 
     def test_training_distance_bounded_by_max_csg_ratio(self):
         base, ramp = bridge_variants()
         model = generate_model([base, base, ramp])
         biggest = max(p.size for p in model.prototypes)
-        bound = 1 - model.max_csg.size / biggest
+        bound = 1 - model.bounds[0].size / biggest
         for g in (base, ramp):
             assert model_distance(g, model) <= bound + 1e-12
 
@@ -878,8 +862,7 @@ class TestModelDistance:
         base, ramp = bridge_variants()
         model = generate_model([base, ramp])
         back = model_from_json(model_to_json(model))
-        assert is_isomorphic(back.max_csg, model.max_csg)
-        assert is_isomorphic(back.min_csg, model.min_csg)
+        assert all(map(is_isomorphic, back.bounds, model.bounds))
         assert len(back.prototypes) == 2
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cartoseg.graphs import decompose, graph_distance
 from cartoseg.pipeline import PipelineConfig, shape_graph
@@ -41,6 +41,18 @@ class TestSpecValidation:
     def test_offset_bound(self):
         with pytest.raises(SpecError):
             SceneSpec(kind="bridge", offset=(11, 0))
+
+    @pytest.mark.parametrize("offset", [(1.5, 0), (1, 2, 3), (1,), (True, 0), (0, np.True_), 3, None])
+    def test_offset_not_two_integers(self, offset):
+        with pytest.raises(SpecError, match="two integers"):
+            SceneSpec(kind="bridge", offset=offset)
+
+    def test_numpy_integers_render_and_write(self, tmp_path):
+        """They are kept as ints: json could not write a numpy seed or offset."""
+        spec = SceneSpec(kind="bridge", pan_size=32, seed=np.int64(3), offset=(np.int64(-3), np.int32(2)))
+        assert generate_scene(spec)[2].offset == (-3, 2)
+        (entry,) = write_corpus(tmp_path, [spec])["scenes"]
+        assert (entry["seed"], entry["offset"]) == (3, [-3, 2])
 
     def test_offset_beyond_margin(self):
         """The pan frame is cut from the canvas inside the multispectral
@@ -122,13 +134,23 @@ class TestGenerateScene:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(("bridge", "roundabout")), st.sampled_from(range(4, 33, 4)),
            st.integers(0, 3), st.integers(0, 2**16), st.integers(0, 8),
-           st.tuples(st.integers(-10, 10), st.integers(-10, 10)))
+           st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+           | st.lists(st.integers(-10, 10) | st.booleans() | st.floats(-10, 10), max_size=3)
+           .map(tuple))
+    @example("bridge", 32, 0, 0, 8, (1.5, 0))
+    @example("bridge", 32, 0, 0, 8, (True, 0))
+    @example("bridge", 32, 0, 0, 8, (1,))
+    @example("bridge", 32, 0, 0, 8, (1, 2, 3))
     def test_spec_renders_or_is_refused(self, kind, pan_size, clutter, seed, ms_margin, offset):
+        """Offsets too: one with a float, a boolean, one entry or three
+        entries is refused, and two integers in [-10, 10] render or are refused."""
+        malformed = len(offset) != 2 or any(isinstance(n, (bool, float)) for n in offset)
         try:
             spec = SceneSpec(kind=kind, pan_size=pan_size, clutter=clutter, seed=seed,
                              ms_margin=ms_margin, offset=offset, noise=4.0)
         except SpecError:
             return
+        assert not malformed
         pan, ms, truth = generate_scene(spec)
         assert pan.data.shape == truth.mask.bits.shape == (pan_size, pan_size)
         assert ms.width == ms.height == pan_size // spec.factor + 2 * ms_margin
@@ -199,8 +221,7 @@ class TestGenerateScene:
         end there, so every pair is joined end to end."""
         spec = SceneSpec(kind="bridge", seed=5, main_angle=0.4)
         _, _, truth = generate_scene(spec)
-        kinds = [k for _, k in truth.arg.vertices]
-        assert kinds == ["segment"] * 4
+        assert truth.arg.kinds == ("segment",) * 4
         assert sorted((a, b, conn) for a, b, conn, _ in truth.arg.edges) == [
             (a, b, "end-to-end") for a in range(4) for b in range(a + 1, 4)
         ]
@@ -253,8 +274,7 @@ class TestGenerateScene:
     def test_roundabout_truth_arg_structure(self):
         spec = SceneSpec(kind="roundabout", seed=5, main_angle=0.3)
         _, _, truth = generate_scene(spec)
-        kinds = sorted(k for _, k in truth.arg.vertices)
-        assert kinds == ["circle"] + ["segment"] * 4
+        assert sorted(truth.arg.kinds) == ["circle"] + ["segment"] * 4
         star = [e for e in truth.arg.edges if 0 in (e[0], e[1])]
         assert len(star) == 4 and all(e[2] == "end-to-side" for e in star)
 
